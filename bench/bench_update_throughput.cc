@@ -25,6 +25,7 @@
 #include "src/prng/simd/dispatch.h"
 #include "src/sketch/agms.h"
 #include "src/sketch/fagms.h"
+#include "src/sketch/kll.h"
 #include "src/stream/parallel.h"
 #include "src/util/aligned.h"
 #include "src/util/rng.h"
@@ -94,6 +95,27 @@ void BM_FagmsUpdateBatch(benchmark::State& state) {
   state.SetLabel(XiSchemeName(p.scheme));
 }
 BENCHMARK(BM_FagmsUpdateBatch)->Arg(0)->Arg(1);
+
+// KLL quantile-sketch update at the service's quantile_k (200), on a
+// hierarchy already grown past 2^20 items (13 levels), where the
+// per-update capacity-budget check would cost the most if it scaled with
+// the level count.
+void BM_KllUpdate(benchmark::State& state) {
+  static const KllSketch grown = [] {
+    KllSketch kll(200, 17);
+    for (uint64_t i = 0; i < (uint64_t{1} << 20); ++i) {
+      kll.Update(MixSeed(3, i));
+    }
+    return kll;
+  }();
+  KllSketch sketch = grown;
+  for (auto _ : state) {
+    for (uint64_t v : Stream()) sketch.Update(v);
+    benchmark::DoNotOptimize(sketch);
+  }
+  state.SetItemsProcessed(state.iterations() * kTuplesPerIteration);
+}
+BENCHMARK(BM_KllUpdate);
 
 // --------------------------------------------------------------------------
 // ISA-dispatched kernel series (src/prng/simd/). Registered dynamically so a

@@ -71,7 +71,7 @@ void SetInterval(JsonValue& body, const ConfidenceInterval& ci) {
 
 }  // namespace
 
-bool ParseUint64(const std::string& text, uint64_t* out) {
+bool ParseUint64(std::string_view text, uint64_t* out) {
   if (text.empty() || text.size() > 20) return false;
   uint64_t value = 0;
   for (char c : text) {
@@ -260,12 +260,13 @@ JsonValue QuantileResponseJson(const ServiceSnapshot& snapshot, double q,
                         (p * static_cast<double>(snapshot.position)));
     }
     const double eps_total = eps_sketch + eps_sampling;
-    estimate = static_cast<double>(kll.EstimateQuantile(q));
-    // Value-space interval: re-query the sketch at the rank bounds.
-    ci.low = static_cast<double>(
-        kll.EstimateQuantile(std::max(0.0, q - eps_total)));
-    ci.high = static_cast<double>(
-        kll.EstimateQuantile(std::min(1.0, q + eps_total)));
+    // Value-space interval: the sketch re-queried at the rank bounds, all
+    // three ranks answered from one sorted view.
+    const std::vector<uint64_t> values = kll.EstimateQuantiles(
+        {q, std::max(0.0, q - eps_total), std::min(1.0, q + eps_total)});
+    estimate = static_cast<double>(values[0]);
+    ci.low = static_cast<double>(values[1]);
+    ci.high = static_cast<double>(values[2]);
   }
   body.Set("estimate", JsonValue::Number(estimate));
   JsonValue rank_error = JsonValue::Object();
@@ -485,7 +486,7 @@ HttpResponse SketchService::HandleIngest(const HttpRequest& request) {
   // before anything is pushed — a malformed batch must not half-ingest.
   std::vector<uint64_t> values;
   values.reserve(256);
-  const std::string& body = request.body;
+  const std::string_view body = request.body;
   size_t i = 0;
   while (i < body.size()) {
     while (i < body.size() &&

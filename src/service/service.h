@@ -36,6 +36,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -270,7 +271,7 @@ JsonValue SubpopResponseJson(const ServiceSnapshot& snapshot,
                              const QueryFreshness& fresh = QueryFreshness());
 
 /// Strict decimal uint64 parse (no sign, no whitespace, no overflow).
-bool ParseUint64(const std::string& text, uint64_t* out);
+bool ParseUint64(std::string_view text, uint64_t* out);
 
 }  // namespace sketchsample
 

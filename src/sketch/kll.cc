@@ -24,29 +24,24 @@ KllSketch::KllSketch(size_t k, uint64_t seed) : k_(k), seed_(seed) {
     throw std::invalid_argument("KLL needs k >= 8");
   }
   levels_.emplace_back();
+  RefreshCapacities();
 }
 
-size_t KllSketch::LevelCapacity(size_t level, size_t num_levels) const {
+void KllSketch::RefreshCapacities() {
   // Geometric decay: the highest level gets k slots, each lower level 2/3
-  // of the one above, floored so low levels never degenerate.
+  // of the one above, floored so low levels never degenerate. Walking down
+  // from the top runs, for each level, the same chain of floating-point
+  // multiplications as computing that level on its own, so the rounded
+  // capacities, and every compaction decision, match it bit for bit.
+  capacities_.resize(levels_.size());
+  budget_ = 0;
   double cap = static_cast<double>(k_);
-  for (size_t l = num_levels - 1; l > level; --l) cap *= 2.0 / 3.0;
-  const size_t rounded = static_cast<size_t>(std::ceil(cap));
-  return std::max(kMinLevelCapacity, rounded);
-}
-
-size_t KllSketch::CapacityBudget() const {
-  size_t total = 0;
-  for (size_t l = 0; l < levels_.size(); ++l) {
-    total += LevelCapacity(l, levels_.size());
+  for (size_t l = levels_.size(); l-- > 0;) {
+    const size_t rounded = static_cast<size_t>(std::ceil(cap));
+    capacities_[l] = std::max(kMinLevelCapacity, rounded);
+    budget_ += capacities_[l];
+    cap *= 2.0 / 3.0;
   }
-  return total;
-}
-
-size_t KllSketch::retained() const {
-  size_t total = 0;
-  for (const auto& level : levels_) total += level.size();
-  return total;
 }
 
 void KllSketch::Update(uint64_t value) {
@@ -60,17 +55,18 @@ void KllSketch::Update(uint64_t value) {
   }
   ++n_;
   levels_[0].push_back(value);
-  CompactIfNeeded();
+  ++retained_;
+  if (retained_ > budget_) CompactIfNeeded();
 }
 
 void KllSketch::CompactIfNeeded() {
-  while (retained() > CapacityBudget()) {
+  while (retained_ > budget_) {
     // Pigeonhole: if every level were within its capacity the total would
     // be within the budget, so an over-capacity level exists; compact the
     // lowest one (cheapest items, keeps the hierarchy shallow).
     size_t target = levels_.size();
     for (size_t l = 0; l < levels_.size(); ++l) {
-      if (levels_[l].size() > LevelCapacity(l, levels_.size())) {
+      if (levels_[l].size() > capacities_[l]) {
         target = l;
         break;
       }
@@ -88,6 +84,7 @@ void KllSketch::CompactLevel(size_t level) {
       throw std::logic_error("KLL level hierarchy overflow");
     }
     levels_.emplace_back();
+    RefreshCapacities();
   }
   std::vector<uint64_t>& buf = levels_[level];
   std::sort(buf.begin(), buf.end());
@@ -108,6 +105,8 @@ void KllSketch::CompactLevel(size_t level) {
   } else {
     buf.clear();
   }
+  // even_count items left this level and half of them arrived above.
+  retained_ -= even_count / 2;
   ++compactions_;
   // Each compaction at level l shifts any fixed rank by a zero-mean error
   // of magnitude at most 2^l; account its variance conservatively as 4^l.
@@ -127,11 +126,15 @@ void KllSketch::Merge(const KllSketch& other) {
     min_item_ = std::min(min_item_, other.min_item_);
     max_item_ = std::max(max_item_, other.max_item_);
   }
-  while (levels_.size() < other.levels_.size()) levels_.emplace_back();
+  if (levels_.size() < other.levels_.size()) {
+    levels_.resize(other.levels_.size());
+    RefreshCapacities();
+  }
   for (size_t l = 0; l < other.levels_.size(); ++l) {
     levels_[l].insert(levels_[l].end(), other.levels_[l].begin(),
                       other.levels_[l].end());
   }
+  retained_ += other.retained_;
   n_ += other.n_;
   compactions_ += other.compactions_;
   rank_error_var_ += other.rank_error_var_;
@@ -139,31 +142,49 @@ void KllSketch::Merge(const KllSketch& other) {
 }
 
 uint64_t KllSketch::EstimateQuantile(double q) const {
-  if (!(q >= 0.0 && q <= 1.0)) {
-    throw std::invalid_argument("quantile rank must be in [0, 1]");
+  return EstimateQuantiles({q})[0];
+}
+
+std::vector<uint64_t> KllSketch::EstimateQuantiles(
+    const std::vector<double>& qs) const {
+  for (double q : qs) {
+    if (!(q >= 0.0 && q <= 1.0)) {
+      throw std::invalid_argument("quantile rank must be in [0, 1]");
+    }
   }
   if (n_ == 0) {
     throw std::invalid_argument("quantile query on an empty sketch");
   }
-  if (q == 0.0) return min_item_;
-  if (q == 1.0) return max_item_;
-  std::vector<std::pair<uint64_t, uint64_t>> items;  // (value, weight)
-  items.reserve(retained());
+  // Sorted weighted view: (value, cumulative weight) in ascending value
+  // order, shared by every rank.
+  std::vector<std::pair<uint64_t, uint64_t>> view;
+  view.reserve(retained_);
   for (size_t l = 0; l < levels_.size(); ++l) {
     const uint64_t weight = uint64_t{1} << l;
-    for (uint64_t v : levels_[l]) items.emplace_back(v, weight);
+    for (uint64_t v : levels_[l]) view.emplace_back(v, weight);
   }
-  std::sort(items.begin(), items.end());
-  const double target = q * static_cast<double>(n_);
-  uint64_t target_weight =
-      std::max<uint64_t>(1, static_cast<uint64_t>(std::ceil(target)));
-  target_weight = std::min(target_weight, n_);
+  std::sort(view.begin(), view.end());
   uint64_t cumulative = 0;
-  for (const auto& [value, weight] : items) {
-    cumulative += weight;
-    if (cumulative >= target_weight) return value;
+  for (auto& item : view) item.second = cumulative += item.second;
+  std::vector<uint64_t> answers;
+  answers.reserve(qs.size());
+  for (double q : qs) {
+    if (q == 0.0 || q == 1.0) {
+      answers.push_back(q == 0.0 ? min_item_ : max_item_);
+      continue;
+    }
+    const double target = q * static_cast<double>(n_);
+    uint64_t target_weight =
+        std::max<uint64_t>(1, static_cast<uint64_t>(std::ceil(target)));
+    target_weight = std::min(target_weight, n_);
+    // First item whose cumulative weight reaches the target.
+    const auto it = std::partition_point(
+        view.begin(), view.end(), [target_weight](const auto& item) {
+          return item.second < target_weight;
+        });
+    answers.push_back(it != view.end() ? it->first : max_item_);
   }
-  return max_item_;
+  return answers;
 }
 
 double KllSketch::EstimateRank(uint64_t value) const {
@@ -219,6 +240,9 @@ void KllSketch::LoadState(uint64_t n, uint64_t min_item, uint64_t max_item,
   compactions_ = compactions;
   rank_error_var_ = rank_error_var;
   levels_ = std::move(levels);
+  RefreshCapacities();
+  retained_ = 0;
+  for (const auto& level : levels_) retained_ += level.size();
 }
 
 }  // namespace sketchsample

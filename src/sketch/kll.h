@@ -14,8 +14,12 @@
 // the *sequence* of Update() calls. Compaction triggers depend only on
 // counts and the coin flips only on (seed, level, compaction ordinal), so
 // two sketches fed the same value sequence — regardless of where the
-// feeder paused, checkpointed, or resumed — are bit-identical. The shard
-// engine exploits this by folding kept tuples in ascending stream-position
+// feeder paused, checkpointed, or resumed — are bit-identical. The cached
+// per-level capacities and their sum depend only on (k, level count), and
+// the cached retained count only on the level sizes, so the cache is
+// derived state: it is rebuilt, never serialized, and a deserialized
+// sketch makes the same compaction decisions as the one it was saved
+// from. The shard engine exploits this by folding kept tuples in stream
 // order (src/stream/shard_engine.cc), which makes quantile answers
 // independent of the shard count.
 #ifndef SKETCHSAMPLE_SKETCH_KLL_H_
@@ -52,6 +56,12 @@ class KllSketch {
   /// std::invalid_argument if q is outside [0, 1] or the sketch is empty.
   uint64_t EstimateQuantile(double q) const;
 
+  /// EstimateQuantile at every rank in `qs`, answered from one sorted
+  /// weighted view of the retained items (one sort per call, not per
+  /// rank). Same values and same exceptions as one EstimateQuantile call
+  /// per rank.
+  std::vector<uint64_t> EstimateQuantiles(const std::vector<double>& qs) const;
+
   /// Approximate normalized rank of `value`: fraction of observed items
   /// strictly below it. Returns 0 for an empty sketch.
   double EstimateRank(uint64_t value) const;
@@ -66,7 +76,7 @@ class KllSketch {
   uint64_t seed() const { return seed_; }
   uint64_t n() const { return n_; }
   /// Total items currently retained across all levels.
-  size_t retained() const;
+  size_t retained() const { return retained_; }
   uint64_t min_item() const { return min_item_; }
   uint64_t max_item() const { return max_item_; }
   uint64_t compactions() const { return compactions_; }
@@ -83,10 +93,10 @@ class KllSketch {
                  std::vector<std::vector<uint64_t>> levels);
 
  private:
-  /// Capacity of `level` when `num_levels` levels exist: the top level gets
-  /// k slots, each level below 2/3 of the one above, floored at 8.
-  size_t LevelCapacity(size_t level, size_t num_levels) const;
-  size_t CapacityBudget() const;
+  /// Recomputes capacities_ and budget_ for the current level count: the
+  /// top level gets k slots, each level below 2/3 of the one above,
+  /// floored at 8. Called whenever levels_ changes size.
+  void RefreshCapacities();
   void CompactIfNeeded();
   void CompactLevel(size_t level);
 
@@ -98,6 +108,11 @@ class KllSketch {
   uint64_t compactions_ = 0;       // total compaction operations (coin stream)
   double rank_error_var_ = 0;      // sum over compactions of 4^level
   std::vector<std::vector<uint64_t>> levels_;
+  // Derived state, so Update checks the budget in O(1): capacity per level,
+  // their sum, and the item count across levels_.
+  std::vector<size_t> capacities_;
+  size_t budget_ = 0;
+  size_t retained_ = 0;
 };
 
 }  // namespace sketchsample

@@ -38,6 +38,9 @@ class Writer {
   }
 
   void PutU64s(const std::vector<uint64_t>& values) {
+    // An empty vector may hold a null data(), which memcpy must not see
+    // (empty KLL levels are common).
+    if (values.empty()) return;
     const size_t offset = bytes_.size();
     bytes_.resize(offset + values.size() * sizeof(uint64_t));
     std::memcpy(bytes_.data() + offset, values.data(),
@@ -100,6 +103,7 @@ class Reader {
       throw std::invalid_argument("sketch buffer truncated");
     }
     std::vector<uint64_t> values(count);
+    if (count == 0) return values;  // data() may be null; see PutU64s
     std::memcpy(values.data(), bytes_.data() + pos_,
                 count * sizeof(uint64_t));
     pos_ += count * sizeof(uint64_t);

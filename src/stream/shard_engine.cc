@@ -134,26 +134,17 @@ struct ShardEngine<SketchT>::Lane {
       if (chunk->stop) break;
       seen += chunk->count;
       const PositionalBernoulliSampler sampler(chunk->p, root_seed);
-      size_t survivors;
-      if (collect_positions) {
-        // The quantile fold needs (position, value) pairs, which the
-        // compacting KeepBatch discards; judge each position with the same
-        // stateless coin so the survivor set is identical. In-place
-        // compaction stays safe: survivors <= i always.
-        survivors = 0;
-        for (size_t i = 0; i < chunk->count; ++i) {
-          const uint64_t position = chunk->base + i;
-          if (sampler.Keep(position)) {
-            const uint64_t value = chunk->values[i];
-            qpending.emplace_back(position, value);
-            chunk->values[survivors++] = value;
-          }
-        }
-      } else {
-        survivors = sampler.KeepBatch(chunk->base, chunk->values.data(),
-                                      chunk->count, chunk->values.data());
-      }
+      const size_t survivors =
+          sampler.KeepBatch(chunk->base, chunk->values.data(), chunk->count,
+                            chunk->values.data());
       kept += survivors;
+      if (collect_quantile) {
+        // One run per chunk, empty runs included: FoldQuantile replays the
+        // runs in the order the router dealt the chunks.
+        qvalues.insert(qvalues.end(), chunk->values.data(),
+                       chunk->values.data() + survivors);
+        qruns.push_back(survivors);
+      }
       if (kmv.has_value()) {
         // Distinct counting observes the sampled stream itself, before any
         // fault-injection stage corrupts it — the count answers "how many
@@ -191,11 +182,13 @@ struct ShardEngine<SketchT>::Lane {
   std::optional<KmvSketch> kmv;
   // Keyed-KMV subpopulation partial (engaged iff options.subpop_k > 0).
   std::optional<KeyedKmvSketch> subpop;
-  // Quantile support: kept (position, value) pairs awaiting the router's
-  // position-ordered fold into the engine-level KLL. Worker-owned between
-  // quiesces; the router drains it in FoldQuantile.
-  bool collect_positions = false;
-  std::vector<std::pair<uint64_t, uint64_t>> qpending;
+  // Quantile support: kept values awaiting the router's fold into the
+  // engine-level KLL, and their survivor count per chunk, both in the order
+  // this lane received the chunks. Worker-owned between quiesces; the
+  // router drains them in FoldQuantile.
+  bool collect_quantile = false;
+  std::vector<uint64_t> qvalues;
+  std::vector<size_t> qruns;
   uint64_t seen = 0;  // worker-owned; router reads only after a quiesce
   uint64_t kept = 0;
   // Chunks fully processed; the release increment publishes seen/kept/
@@ -399,7 +392,7 @@ void ShardEngine<SketchT>::WriteCheckpoint(
   cp.has_quantile_subpop = quantile_.has_value() || subpop_.has_value();
   if (quantile_.has_value()) {
     // The engine-level KLL already covers the whole kept prefix — the Run
-    // loop folds every lane's pending pairs before checkpointing.
+    // loop folds every lane's pending runs before checkpointing.
     cp.quantile = SerializeSketch(*quantile_);
   }
   cp.has_shard_subpop = subpop_.has_value();
@@ -489,26 +482,35 @@ void ShardEngine<SketchT>::PublishSnapshot(
 
 template <typename SketchT>
 void ShardEngine<SketchT>::FoldQuantile(
-    const std::vector<std::unique_ptr<Lane>>& lanes,
+    const std::vector<std::unique_ptr<Lane>>& lanes, size_t first_lane,
     ShardEngineStats& stats) {
   if (!quantile_.has_value()) return;
-  size_t pending = 0;
-  for (const auto& lane : lanes) pending += lane->qpending.size();
-  if (pending == 0) return;
-  // Drain every lane's buffered pairs and replay them in ascending stream
-  // position. The KLL state is a pure function of its update sequence, and
-  // this keeps that sequence "kept stream in position order" no matter how
-  // the stream was partitioned — which is the whole bit-exactness argument
-  // for quantiles (the fold boundary itself is irrelevant to the result).
-  std::vector<std::pair<uint64_t, uint64_t>> ordered;
-  ordered.reserve(pending);
-  for (const auto& lane : lanes) {
-    ordered.insert(ordered.end(), lane->qpending.begin(),
-                   lane->qpending.end());
-    lane->qpending.clear();
+  // The router deals chunks round-robin in ascending stream position, and
+  // `first_lane` got the first chunk since the last fold. Taking one run
+  // from each lane in turn, until the lane whose turn it is has none left,
+  // therefore replays the kept stream in position order. The KLL state is a
+  // pure function of its update sequence, so it stays a function of the
+  // kept stream no matter how the stream was partitioned — the whole
+  // bit-exactness argument for quantiles (the fold boundary itself is
+  // irrelevant to the result).
+  std::vector<size_t> next_run(lanes.size(), 0);
+  std::vector<size_t> offset(lanes.size(), 0);
+  for (size_t s = first_lane; next_run[s] < lanes[s]->qruns.size();
+       s = s + 1 == lanes.size() ? 0 : s + 1) {
+    const Lane& lane = *lanes[s];
+    const size_t run = lane.qruns[next_run[s]++];
+    for (size_t i = offset[s]; i < offset[s] + run; ++i) {
+      quantile_->Update(lane.qvalues[i]);
+    }
+    offset[s] += run;
   }
-  std::sort(ordered.begin(), ordered.end());
-  for (const auto& pair : ordered) quantile_->Update(pair.second);
+  size_t folded = 0;
+  for (const auto& lane : lanes) {
+    folded += lane->qvalues.size();
+    lane->qvalues.clear();
+    lane->qruns.clear();
+  }
+  if (folded == 0) return;
   ++stats.quantile_folds;
   SKETCHSAMPLE_METRIC_INC("engine.shard.quantile_folds");
 }
@@ -541,7 +543,7 @@ ShardEngineStats ShardEngine<SketchT>::Run(StreamSource& source) {
     if (subpop_.has_value()) {
       lane.subpop.emplace(options_.subpop_k, ShardSubpopSeed(options_.seed));
     }
-    lane.collect_positions = quantile_.has_value();
+    lane.collect_quantile = quantile_.has_value();
     if (faulty) {
       lane.sink = std::make_unique<SketchSinkOp<SketchT>>(&lane.partial);
       lane.faults = std::make_unique<FaultInjectingOperator>(
@@ -628,6 +630,12 @@ ShardEngineStats ShardEngine<SketchT>::Run(StreamSource& source) {
   uint64_t window_ring_stalls = 0;
   uint64_t stall_budget = options_.stall_retries;
   size_t rr = 0;
+  // Lane dealt the first chunk since the last quantile fold.
+  size_t fold_lane = 0;
+  auto fold_quantile = [&] {
+    FoldQuantile(lanes, fold_lane, stats);
+    fold_lane = rr;
+  };
 
   try {
     while (true) {
@@ -719,18 +727,18 @@ ShardEngineStats ShardEngine<SketchT>::Run(StreamSource& source) {
       }
       if (qfolding && total >= next_qfold) {
         quiesce();
-        FoldQuantile(lanes, stats);
+        fold_quantile();
         next_qfold += options_.quantile_fold_every;
       }
       if (checkpointing && total >= next_checkpoint) {
         quiesce();
-        FoldQuantile(lanes, stats);  // checkpoint covers the whole prefix
+        fold_quantile();  // checkpoint covers the whole prefix
         WriteCheckpoint(lanes, total, stats);
         next_checkpoint += options_.checkpoint_every;
       }
       if (snapshotting && total >= next_snapshot) {
         quiesce();
-        FoldQuantile(lanes, stats);  // snapshot covers the whole prefix
+        fold_quantile();  // snapshot covers the whole prefix
         PublishSnapshot(lanes, total, stats);
         next_snapshot += snapshot_every_;
       }
@@ -742,9 +750,9 @@ ShardEngineStats ShardEngine<SketchT>::Run(StreamSource& source) {
 
   stop_workers();
 
-  // Workers are joined (a full barrier), so the remaining quantile pairs
+  // Workers are joined (a full barrier), so the remaining quantile runs
   // are safe to drain without a quiesce.
-  FoldQuantile(lanes, stats);
+  fold_quantile();
 
   // Merge stage: fold every partial into the restored base, in shard order
   // (order does not matter for the result — counter merges are exact sums

@@ -99,10 +99,11 @@ struct ShardEngineOptions {
   /// (quantile_k, ShardQuantileSeed(seed)) over the kept stream. KLL
   /// compaction is order-dependent, so per-lane partials would NOT be
   /// bit-exact across shard counts; instead each lane buffers its kept
-  /// (position, value) pairs and the router folds them into the single
-  /// engine-level sketch in ascending position order at quiesced
-  /// boundaries. The KLL state is then a pure function of the kept prefix
-  /// in stream order — identical at any shard count, chunking, or resume.
+  /// values with one survivor count per chunk, and at quiesced boundaries
+  /// the router replays those runs into the single engine-level sketch in
+  /// the order it dealt the chunks, which is stream order. The KLL state is
+  /// then a pure function of the kept prefix in stream order — identical
+  /// at any shard count, chunking, or resume.
   size_t quantile_k = 0;
   /// Fold cadence for the quantile buffers (tuples; phase-locked to
   /// absolute stream offsets like windows). Bounds per-lane buffer memory;
@@ -171,7 +172,7 @@ struct ShardEngineStats {
   uint64_t ring_full_retries = 0;  ///< router spins waiting for a buffer
   uint64_t quiesces = 0;     ///< router drain barriers (windows/checkpoints)
   uint64_t merges = 0;       ///< partials folded by the merge stage
-  uint64_t quantile_folds = 0;  ///< position-ordered folds into the KLL
+  uint64_t quantile_folds = 0;  ///< stream-order folds into the KLL
   std::vector<uint64_t> shard_tuples;  ///< per-shard tuples received
   std::vector<uint64_t> shard_kept;    ///< per-shard tuples kept
   std::vector<uint64_t> shard_faults;  ///< per-shard injected faults
@@ -255,11 +256,12 @@ class ShardEngine {
   void PublishSnapshot(const std::vector<std::unique_ptr<Lane>>& lanes,
                        uint64_t total, ShardEngineStats& stats);
 
-  // Drains every lane's buffered (position, value) pairs into the
-  // engine-level KLL in ascending position order. Lanes must be quiesced
-  // (or joined). No-op when quantile queries are disabled.
+  // Drains every lane's buffered kept runs into the engine-level KLL in
+  // the order the router dealt them, starting at `first_lane` (the lane
+  // dealt the first chunk since the last fold). Lanes must be quiesced (or
+  // joined). No-op when quantile queries are disabled.
   void FoldQuantile(const std::vector<std::unique_ptr<Lane>>& lanes,
-                    ShardEngineStats& stats);
+                    size_t first_lane, ShardEngineStats& stats);
 
   ShardEngineOptions options_;
   SketchT proto_;    // clean prototype for worker partials
@@ -271,7 +273,7 @@ class ShardEngine {
   // Auxiliary distinct counter: restored base + folded lane partials
   // (mirrors merged_). Engaged iff options.distinct_k > 0.
   std::optional<KmvSketch> distinct_;
-  // Engine-level quantile sketch, fed in position order by FoldQuantile.
+  // Engine-level quantile sketch, fed in stream order by FoldQuantile.
   // Engaged iff options.quantile_k > 0.
   std::optional<KllSketch> quantile_;
   // Keyed-KMV subpopulation sketch: restored base + folded lane partials

@@ -8,6 +8,13 @@
 //   v1_shard_distinct.skcp   bits 2|3         (per-shard KMV distinct blobs)
 //   v1_quantile_subpop.skcp  bits 2|3|4       (KLL + keyed-KMV subpop)
 //
+// Two bare KLL sketch blobs (SKSA framing, not checkpoints) pin the
+// compaction schedule deep in the hierarchy, which the small KLL inside
+// v1_quantile_subpop.skcp never reaches:
+//
+//   kll_k200_long.sksa       k=200 after 2^20 updates (13 levels)
+//   kll_k200_merge.sksa      Merge of two such sketches
+//
 // Each golden is regenerated in-process from a deterministic recipe and
 // must match the committed file byte for byte; deserializing the file and
 // re-serializing the result must also reproduce the exact bytes. Together
@@ -188,6 +195,36 @@ const GoldenCase kGoldens[] = {
     {"v1_quantile_subpop.skcp", QuantileSubpopCheckpoint},
 };
 
+// Long-stream KLL: enough updates at the service's quantile_k that every
+// compaction decision up to level 13 is exercised many times over.
+constexpr size_t kLongKllUpdates = size_t{1} << 20;
+
+KllSketch MakeLongKll(uint64_t salt) {
+  KllSketch kll(200, 17);
+  for (uint64_t i = 0; i < kLongKllUpdates; ++i) kll.Update(MixSeed(salt, i));
+  return kll;
+}
+
+std::vector<uint8_t> LongKllBlob() {
+  return SerializeSketch(MakeLongKll(5));
+}
+
+std::vector<uint8_t> MergedLongKllBlob() {
+  KllSketch merged = MakeLongKll(5);
+  merged.Merge(MakeLongKll(6));
+  return SerializeSketch(merged);
+}
+
+struct SketchGoldenCase {
+  const char* file;
+  std::vector<uint8_t> (*make)();
+};
+
+const SketchGoldenCase kSketchGoldens[] = {
+    {"kll_k200_long.sksa", LongKllBlob},
+    {"kll_k200_merge.sksa", MergedLongKllBlob},
+};
+
 bool WriteGoldenMode() {
   const char* env = std::getenv("SKETCHSAMPLE_WRITE_GOLDEN");
   return env != nullptr && env[0] == '1';
@@ -198,6 +235,9 @@ TEST(CheckpointGoldenTest, RegenerateWhenRequested) {
   for (const GoldenCase& golden : kGoldens) {
     WriteFileBytes(GoldenPath(golden.file),
                    SerializeCheckpoint(golden.make()));
+  }
+  for (const SketchGoldenCase& golden : kSketchGoldens) {
+    WriteFileBytes(GoldenPath(golden.file), golden.make());
   }
 }
 
@@ -279,6 +319,30 @@ TEST(CheckpointGoldenTest, EmbeddedBlobsLoadThroughTypedDeserializers) {
       EXPECT_EQ(got_entries[i].key, want_entries[i].key);
       EXPECT_EQ(got_entries[i].weight, want_entries[i].weight);
     }
+  }
+}
+
+// The long-stream KLL recipes still produce the committed bytes: any change
+// to a compaction trigger, the level capacities or the survivor coin at any
+// depth shows up here.
+TEST(KllGoldenTest, LongStreamBlobsMatchRegeneration) {
+  if (WriteGoldenMode()) GTEST_SKIP();
+  for (const SketchGoldenCase& golden : kSketchGoldens) {
+    SCOPED_TRACE(golden.file);
+    EXPECT_EQ(ReadFileBytes(GoldenPath(golden.file)), golden.make());
+  }
+}
+
+TEST(KllGoldenTest, LongStreamBlobsRoundTripAndReachDeepLevels) {
+  for (const SketchGoldenCase& golden : kSketchGoldens) {
+    SCOPED_TRACE(golden.file);
+    const std::vector<uint8_t> committed =
+        ReadFileBytes(GoldenPath(golden.file));
+    ASSERT_FALSE(committed.empty());
+    const KllSketch kll = DeserializeKll(committed);
+    EXPECT_GE(kll.levels().size(), 13u);
+    EXPECT_GE(kll.n(), kLongKllUpdates);
+    EXPECT_EQ(SerializeSketch(kll), committed);
   }
 }
 
