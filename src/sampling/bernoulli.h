@@ -28,17 +28,6 @@ class BernoulliSampler {
 
   double p() const { return p_; }
 
-  /// Retargets the keep-probability mid-stream (adaptive load shedding).
-  /// Tuples arriving after the call are kept with the new p; the coin
-  /// sequence continues from the same RNG state. p must lie in [0, 1].
-  void SetP(double p);
-
-  /// RNG state accessors for checkpoint/resume (bit-exact continuation).
-  Xoshiro256::State SaveRngState() const { return rng_.SaveState(); }
-  void RestoreRngState(const Xoshiro256::State& state) {
-    rng_.RestoreState(state);
-  }
-
   /// Filters a materialized stream; keeps order.
   std::vector<uint64_t> Sample(const std::vector<uint64_t>& stream);
 
@@ -59,17 +48,6 @@ class GeometricSkipSampler {
   uint64_t NextSkip();
 
   double p() const { return p_; }
-
-  /// Retargets the keep-probability mid-stream. Gaps drawn after the call
-  /// follow Geometric(new p); a pending gap drawn under the old rate should
-  /// be re-drawn by the caller (ShedOperator does). p must lie in (0, 1].
-  void SetP(double p);
-
-  /// RNG state accessors for checkpoint/resume (bit-exact continuation).
-  Xoshiro256::State SaveRngState() const { return rng_.SaveState(); }
-  void RestoreRngState(const Xoshiro256::State& state) {
-    rng_.RestoreState(state);
-  }
 
   /// Filters a materialized stream using skips; keeps order. Produces a
   /// sample with exactly the Bernoulli(p) law of BernoulliSampler.
@@ -118,9 +96,6 @@ class PositionalBernoulliSampler {
                    uint64_t* out) const;
 
   double p() const { return p_; }
-  /// Retargets the keep-probability; affects all positions judged after the
-  /// call (the coins themselves never change). p must lie in [0, 1].
-  void SetP(double p);
 
  private:
   double p_;

@@ -326,19 +326,4 @@ void FileCheckpointSink::Write(const std::vector<uint8_t>& bytes,
   }
 }
 
-void RestorePipelineComponents(const PipelineCheckpoint& cp,
-                               StreamSource& source, ShedOperator* shed,
-                               ShedController* controller) {
-  if (cp.has_shed && shed != nullptr) shed->RestoreState(cp.shed);
-  if (cp.has_controller && controller != nullptr) {
-    controller->RestoreState(cp.controller);
-  }
-  const uint64_t discarded = DiscardTuples(source, cp.source_tuples);
-  if (discarded != cp.source_tuples) {
-    throw CheckpointError(
-        "source ended before the checkpointed position; it is not the "
-        "stream this checkpoint was taken against");
-  }
-}
-
 }  // namespace sketchsample

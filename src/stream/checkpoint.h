@@ -1,15 +1,17 @@
-// Checkpoint/recovery for the streaming pipeline.
+// Checkpoint/recovery for the sharded ingest engine
+// (src/stream/shard_engine.h).
 //
-// A checkpoint is a self-describing byte buffer capturing everything a
-// pipeline needs to resume bit-exactly after a crash: the absolute source
-// position, the shed operator's sampling state (rate, pending skip gap, and
-// both sampler RNG states), the adaptive controller's state, and the sketch
-// itself (reusing the src/sketch/serialize wire format as an embedded
-// blob). Because every component is a deterministic function of (seed,
-// consumed prefix), restoring the states and fast-forwarding a freshly
-// built source past `source_tuples` reproduces the uninterrupted run's
-// sketch contents and estimate bit-for-bit — the kill-and-resume tests
-// assert exact equality, not approximation.
+// A checkpoint is a self-describing byte buffer capturing everything the
+// engine needs to resume bit-exactly after a crash: the absolute source
+// position, the adaptive controller's state, and a shard section holding
+// each worker's realized counts and partial sketch (reusing the
+// src/sketch/serialize wire format as embedded blobs). Because every
+// component is a deterministic function of (seed, consumed prefix) —
+// shedding is positional, so no sampler RNG state exists to save —
+// restoring the states and fast-forwarding a freshly built source past
+// `source_tuples` reproduces the uninterrupted run's sketch contents and
+// estimate bit-for-bit; the kill-and-resume tests assert exact equality,
+// not approximation.
 //
 // Wire format (little-endian, fixed-width):
 //
@@ -26,6 +28,11 @@
 //    subpop_len u64, subpop bytes]                — iff flags bit 4
 //   sketch_len u64 | sketch bytes (inner format: src/sketch/serialize.h) |
 //   crc32 u32 over every preceding byte
+//
+// Flag bit 0 is a legacy section (a stateful coin/skip shed stage's RNG
+// states). Nothing writes it and nothing restores from it; the codec still
+// reads and writes it so committed blobs carrying it round-trip byte for
+// byte, and the engine refuses such a checkpoint (it has no shard section).
 //
 // Flag bit 3 (per-shard distinct blobs) extends the shard section with each
 // worker's auxiliary KMV distinct counter and is only valid together with
@@ -53,9 +60,8 @@
 #include <vector>
 
 #include "src/sketch/serialize.h"
-#include "src/stream/operators.h"
 #include "src/stream/shed_controller.h"
-#include "src/stream/source.h"
+#include "src/util/rng.h"
 
 namespace sketchsample {
 
@@ -63,6 +69,18 @@ namespace sketchsample {
 class CheckpointError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
+};
+
+/// Legacy shed-stage section (flag bit 0): plain data the codec carries so
+/// old blobs round-trip; nothing restores from it.
+struct ShedOperatorState {
+  double p = 1.0;
+  uint64_t skip = 0;
+  uint64_t seen = 0;
+  uint64_t forwarded = 0;
+  bool has_skipper = false;
+  Xoshiro256::State coin_rng{};
+  Xoshiro256::State skip_rng{};
 };
 
 /// One shard's recoverable state inside a sharded-engine checkpoint
@@ -80,12 +98,12 @@ struct ShardCheckpointState {
   std::vector<uint8_t> subpop;
 };
 
-/// One recoverable pipeline snapshot.
+/// One recoverable engine snapshot.
 struct PipelineCheckpoint {
   /// Tuples the source had emitted when the snapshot was taken; recovery
   /// fast-forwards a fresh source past this prefix (DiscardTuples).
   uint64_t source_tuples = 0;
-  bool has_shed = false;
+  bool has_shed = false;  ///< legacy flag bit 0; see ShedOperatorState
   ShedOperatorState shed{};
   bool has_controller = false;
   ShedController::State controller{};
@@ -107,9 +125,9 @@ struct PipelineCheckpoint {
   bool has_quantile_subpop = false;
   std::vector<uint8_t> quantile;
   bool has_shard_subpop = false;
-  /// Serialized sketch (src/sketch/serialize.h format); empty when the
-  /// pipeline has no checkpointable sketch registered. Restore with the
-  /// matching Deserialize* (PeekSketchKind identifies the type).
+  /// Top-level sketch blob (src/sketch/serialize.h format). The engine
+  /// keeps its sketches in the shard section and leaves this empty; legacy
+  /// blobs may carry one (PeekSketchKind identifies the type).
   std::vector<uint8_t> sketch;
 };
 
@@ -118,7 +136,7 @@ std::vector<uint8_t> SerializeCheckpoint(const PipelineCheckpoint& cp);
 /// Throws CheckpointError on any format, range, or checksum violation.
 PipelineCheckpoint DeserializeCheckpoint(const std::vector<uint8_t>& bytes);
 
-/// Where RunPipeline delivers periodic checkpoints.
+/// Where the engine delivers periodic checkpoints.
 class CheckpointSink {
  public:
   virtual ~CheckpointSink() = default;
@@ -159,38 +177,6 @@ class FileCheckpointSink final : public CheckpointSink {
  private:
   std::string path_;
 };
-
-/// Type-erased "snapshot the sketch" hook for RunPipeline, which cannot see
-/// the concrete sketch type behind its sink operator.
-class SketchSnapshotter {
- public:
-  virtual ~SketchSnapshotter() = default;
-  virtual std::vector<uint8_t> Snapshot() const = 0;
-};
-
-/// Snapshotter over any serializable sketch. `sketch` must outlive it.
-template <typename SketchT>
-class SketchSnapshot final : public SketchSnapshotter {
- public:
-  explicit SketchSnapshot(const SketchT& sketch) : sketch_(&sketch) {}
-  std::vector<uint8_t> Snapshot() const override {
-    return SerializeSketch(*sketch_);
-  }
-
- private:
-  const SketchT* sketch_;
-};
-
-/// Restores the recoverable components from a checkpoint: shed and
-/// controller states (when present and the pointer is non-null) and the
-/// source position (fast-forwarding `source`, which must be a fresh
-/// deterministic reconstruction of the original). Throws CheckpointError
-/// if the source ends before the checkpointed position — that means the
-/// source is not the one the checkpoint was taken against. The sketch blob
-/// is restored separately by the caller, which knows its concrete type.
-void RestorePipelineComponents(const PipelineCheckpoint& cp,
-                               StreamSource& source, ShedOperator* shed,
-                               ShedController* controller);
 
 }  // namespace sketchsample
 

@@ -56,7 +56,7 @@ size_t FaultInjectingSource::NextChunk(uint64_t* out, size_t max_n) {
     return 0;
   }
   // Positional faults fire before any data moves: a pending stall episode
-  // yields zero-length "would block" pulls the pipeline must ride out.
+  // yields zero-length "would block" pulls the engine must ride out.
   if (stall_left_ > 0) {
     --stall_left_;
     stalled_ = true;
@@ -164,20 +164,6 @@ void FaultInjectingOperator::CountFault() {
   }
   total_counter_->Add(1);
   if (shard_counter_ != nullptr) shard_counter_->Add(1);
-}
-
-void FaultInjectingOperator::OnTuple(uint64_t value) {
-  if (profile_.corrupt_prob > 0.0 &&
-      rng_.NextDouble() < profile_.corrupt_prob) {
-    value ^= rng_() & profile_.corrupt_mask;
-    CountFault();
-  }
-  downstream_->OnTuple(value);
-  if (profile_.duplicate_prob > 0.0 &&
-      rng_.NextDouble() < profile_.duplicate_prob) {
-    CountFault();
-    downstream_->OnTuple(value);
-  }
 }
 
 void FaultInjectingOperator::OnTuples(const uint64_t* values, size_t n) {

@@ -1,24 +1,16 @@
-// Stream operators: the processing stages of a pipeline.
+// Stream operators: push-path stages between the shed and the sketch.
 //
-// Operators receive tuples via OnTuple (one at a time) or OnTuples (a
-// chunk), and may forward them to a downstream operator. The two stages the
-// paper composes are a Bernoulli shedding stage in front of a sketching
-// stage (§VI-A). The batch entry points exist because per-tuple virtual
-// dispatch (plus a std::function call in the sink) dominates the very
-// quantity §VI-A measures — per-tuple sketch-update cost — once the sketch
-// kernels themselves are batched.
+// The sharded engine (src/stream/shard_engine.h) hands each worker's
+// shed survivors to its sketch in whole chunks; an Operator is the seam
+// where an extra stage — the fault injector of src/stream/faults.h — can
+// sit on that path. Chunks, not tuples, cross the interface because
+// per-tuple virtual dispatch would dominate the very quantity §VI-A
+// measures: per-tuple sketch-update cost.
 #ifndef SKETCHSAMPLE_STREAM_OPERATORS_H_
 #define SKETCHSAMPLE_STREAM_OPERATORS_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <optional>
-#include <utility>
-#include <vector>
-
-#include "src/sampling/bernoulli.h"
-#include "src/util/rng.h"
 
 namespace sketchsample {
 
@@ -27,218 +19,9 @@ class Operator {
  public:
   virtual ~Operator() = default;
 
-  /// Consumes one tuple.
-  virtual void OnTuple(uint64_t value) = 0;
-
-  /// Consumes a chunk of tuples. The default forwards tuple-at-a-time to
-  /// OnTuple, so existing scalar operators work unchanged inside a chunked
-  /// pipeline; hot operators override it to process whole chunks.
-  virtual void OnTuples(const uint64_t* values, size_t n) {
-    for (size_t i = 0; i < n; ++i) OnTuple(values[i]);
-  }
-
-  /// Signals end of stream (default: no-op).
-  virtual void OnEnd() {}
+  /// Consumes a chunk of tuples.
+  virtual void OnTuples(const uint64_t* values, size_t n) = 0;
 };
-
-/// Serializable shed-stage state: the sampling rate, the pending skip gap,
-/// both sampler RNG states, and the realized counts. Captured/restored by
-/// the checkpoint layer (src/stream/checkpoint.h) so a resumed pipeline
-/// continues the exact coin/skip sequence of the interrupted one.
-struct ShedOperatorState {
-  double p = 1.0;
-  uint64_t skip = 0;
-  uint64_t seen = 0;
-  uint64_t forwarded = 0;
-  bool has_skipper = false;
-  Xoshiro256::State coin_rng{};
-  Xoshiro256::State skip_rng{};
-};
-
-/// Load-shedding stage: forwards each tuple with probability p.
-///
-/// The scalar path flips one Bernoulli coin per tuple; the batch path uses
-/// geometric skips (Olken, ref [18]) to jump straight between kept tuples,
-/// compacting them into one contiguous chunk before forwarding — work
-/// proportional to the number of *kept* tuples. Both paths sample the exact
-/// Bernoulli(p) law but consume independent randomness, so mixing them
-/// yields a different (equally valid) sample realization.
-///
-/// The rate is adjustable mid-stream (SetP) so a ShedController can close
-/// the loop between measured throughput and p; the realized kept/dropped
-/// counts (not the nominal p) are what estimators must scale by after an
-/// adaptive run.
-class ShedOperator final : public Operator {
- public:
-  ShedOperator(double p, uint64_t seed, Operator* downstream)
-      : sampler_(p, seed),
-        skip_seed_(seed ^ 0x9e3779b97f4a7c15ULL),
-        downstream_(downstream) {
-    if (p > 0.0) {
-      skipper_.emplace(p, skip_seed_);
-      skip_ = skipper_->NextSkip();
-    }
-  }
-
-  void OnTuple(uint64_t value) override {
-    ++seen_;
-    if (sampler_.Keep()) {
-      ++forwarded_;
-      downstream_->OnTuple(value);
-    }
-  }
-
-  void OnTuples(const uint64_t* values, size_t n) override {
-    seen_ += n;
-    if (!skipper_) return;  // p == 0: shed everything
-    if (sampler_.p() >= 1.0) {  // p == 1: forward the chunk untouched
-      forwarded_ += n;
-      downstream_->OnTuples(values, n);
-      return;
-    }
-    kept_.clear();
-    size_t pos = 0;
-    while (pos < n) {
-      const uint64_t remaining = n - pos;
-      if (skip_ >= remaining) {  // rest of the chunk is shed; carry over
-        skip_ -= remaining;
-        break;
-      }
-      pos += static_cast<size_t>(skip_);
-      kept_.push_back(values[pos]);
-      ++pos;
-      skip_ = skipper_->NextSkip();
-    }
-    forwarded_ += kept_.size();
-    if (!kept_.empty()) downstream_->OnTuples(kept_.data(), kept_.size());
-  }
-
-  void OnEnd() override { downstream_->OnEnd(); }
-
-  /// Retargets the shed rate. Applies to tuples arriving after the call:
-  /// the coin path keeps them with the new p, and the skip path re-draws
-  /// its pending gap under the new rate (the old gap's law no longer
-  /// matches). Counts are not reset — realized_rate() spans rate changes,
-  /// which is exactly what the adaptive estimator needs.
-  void SetP(double p) {
-    sampler_.SetP(p);
-    if (p <= 0.0) {
-      skipper_.reset();
-      skip_ = 0;
-      return;
-    }
-    if (skipper_) {
-      skipper_->SetP(p);
-    } else {
-      skipper_.emplace(p, skip_seed_);
-    }
-    skip_ = skipper_->NextSkip();
-  }
-
-  uint64_t seen() const { return seen_; }
-  uint64_t forwarded() const { return forwarded_; }
-  uint64_t dropped() const { return seen_ - forwarded_; }
-  double p() const { return sampler_.p(); }
-  /// The effective sampling rate actually realized over the run so far:
-  /// forwarded/seen. Falls back to the nominal p before any tuple arrives.
-  double realized_rate() const {
-    return seen_ == 0 ? sampler_.p()
-                      : static_cast<double>(forwarded_) /
-                            static_cast<double>(seen_);
-  }
-
-  ShedOperatorState SaveState() const {
-    ShedOperatorState state;
-    state.p = sampler_.p();
-    state.skip = skip_;
-    state.seen = seen_;
-    state.forwarded = forwarded_;
-    state.has_skipper = skipper_.has_value();
-    state.coin_rng = sampler_.SaveRngState();
-    if (skipper_) state.skip_rng = skipper_->SaveRngState();
-    return state;
-  }
-
-  void RestoreState(const ShedOperatorState& state) {
-    sampler_.SetP(state.p);
-    sampler_.RestoreRngState(state.coin_rng);
-    if (state.has_skipper) {
-      if (!skipper_) skipper_.emplace(state.p, skip_seed_);
-      skipper_->SetP(state.p);
-      skipper_->RestoreRngState(state.skip_rng);
-    } else {
-      skipper_.reset();
-    }
-    skip_ = state.skip;
-    seen_ = state.seen;
-    forwarded_ = state.forwarded;
-  }
-
- private:
-  BernoulliSampler sampler_;                     // scalar path
-  std::optional<GeometricSkipSampler> skipper_;  // batch path (unset: p == 0)
-  uint64_t skip_ = 0;  // tuples still to shed before the next kept one
-  uint64_t skip_seed_;  // retained so SetP can revive a p==0 skipper
-  Operator* downstream_;
-  std::vector<uint64_t> kept_;  // batch-path compaction scratch
-  uint64_t seen_ = 0;
-  uint64_t forwarded_ = 0;
-};
-
-/// Terminal stage feeding any sketch (or other consumer) through a
-/// callback. Two flavors: a per-tuple callback (type-erased, one
-/// std::function call per tuple) and a batch callback invoked once per
-/// chunk, which removes per-tuple std::function dispatch from the hot path
-/// entirely — see MakeSketchSink below.
-class SinkOperator final : public Operator {
- public:
-  // Scalar-compat sink; hot pipelines use the batch constructor below.
-  // lint:allow(hot-path-std-function): one call per tuple by request only
-  explicit SinkOperator(std::function<void(uint64_t)> consume)
-      : consume_(std::move(consume)) {}
-  // Invoked once per chunk; per-tuple dispatch is devirtualized inside
-  // the sketch's UpdateBatch kernel.
-  // lint:allow(hot-path-std-function): per-chunk cost, not per-tuple
-  explicit SinkOperator(std::function<void(const uint64_t*, size_t)> batch)
-      : batch_(std::move(batch)) {}
-
-  void OnTuple(uint64_t value) override {
-    ++count_;
-    if (consume_) {
-      consume_(value);
-    } else {
-      batch_(&value, 1);
-    }
-  }
-
-  void OnTuples(const uint64_t* values, size_t n) override {
-    count_ += n;
-    if (batch_) {
-      batch_(values, n);
-    } else {
-      for (size_t i = 0; i < n; ++i) consume_(values[i]);
-    }
-  }
-
-  uint64_t count() const { return count_; }
-
- private:
-  // lint:allow(hot-path-std-function): see the constructors above
-  std::function<void(uint64_t)> consume_;
-  // lint:allow(hot-path-std-function): see the constructors above
-  std::function<void(const uint64_t*, size_t)> batch_;
-  uint64_t count_ = 0;
-};
-
-/// Builds a batch sink that feeds `sketch` through its UpdateBatch kernel:
-/// one indirect call per chunk, then devirtualized block kernels inside the
-/// sketch. `sketch` must outlive the returned operator.
-template <typename SketchT>
-SinkOperator MakeSketchSink(SketchT& sketch) {
-  return SinkOperator([&sketch](const uint64_t* keys, size_t n) {
-    sketch.UpdateBatch(keys, n);
-  });
-}
 
 }  // namespace sketchsample
 

@@ -1,19 +1,9 @@
-// Pipeline driver: pumps a source through an operator chain and measures
-// throughput. The options-based overload adds the robustness layer:
-// adaptive load shedding (a ShedController retargeting a ShedOperator per
-// window), a stall retry budget so a temporarily blocked source degrades
-// instead of hanging the pump loop, and periodic checkpoints so a killed
-// pipeline resumes bit-exactly (src/stream/checkpoint.h).
+// Ingest chunk granularity shared by the sharded engine
+// (src/stream/shard_engine.h) and the benchmarks that drive it.
 #ifndef SKETCHSAMPLE_STREAM_PIPELINE_H_
 #define SKETCHSAMPLE_STREAM_PIPELINE_H_
 
 #include <cstddef>
-#include <cstdint>
-
-#include "src/stream/checkpoint.h"
-#include "src/stream/operators.h"
-#include "src/stream/shed_controller.h"
-#include "src/stream/source.h"
 
 namespace sketchsample {
 
@@ -21,75 +11,6 @@ namespace sketchsample {
 /// calls and fill the sketches' kUpdateBatchBlock blocks, small enough that
 /// chunk scratch stays cache-resident.
 inline constexpr size_t kPipelineChunk = 1024;
-
-/// Result of one pipeline run.
-struct PipelineStats {
-  uint64_t tuples = 0;         ///< tuples pulled from the source
-  uint64_t chunks = 0;         ///< OnTuples calls issued (0 in scalar mode)
-  double seconds = 0;          ///< wall-clock time of the pump loop
-  uint64_t stall_retries = 0;  ///< zero-length pulls ridden out
-  bool stalled = false;        ///< true: source died / stall budget exhausted
-  bool ended = false;          ///< true: source reported clean end of stream
-  uint64_t windows = 0;        ///< controller windows closed
-  uint64_t checkpoints = 0;    ///< checkpoints written
-  double final_p = 1.0;        ///< shed rate in force when the pump stopped
-  double TuplesPerSecond() const {
-    return seconds > 0 ? static_cast<double>(tuples) / seconds : 0.0;
-  }
-};
-
-/// Robustness/control knobs for RunPipeline. Default-constructed options
-/// reproduce the plain chunked pump loop.
-struct PipelineOptions {
-  size_t chunk_size = kPipelineChunk;
-  /// Stop after this many tuples (0 = run to end of stream). Used to
-  /// simulate a mid-stream kill in checkpoint tests; OnEnd is NOT called
-  /// when the cap stops the run (the stream did not end).
-  uint64_t max_tuples = 0;
-  /// Absolute tuple position the source has already been fast-forwarded
-  /// past (checkpoint resume). Window and checkpoint boundaries are
-  /// computed from the absolute position, so a resumed run ticks the
-  /// controller at the same stream offsets as an uninterrupted one —
-  /// which is what makes resume bit-exact. When nonzero and adaptive, the
-  /// first window's (offered, kept) deltas are based on the restored
-  /// controller's cumulative totals (the counts at the last window tick),
-  /// so the shed and controller states must have been restored from the
-  /// same checkpoint.
-  uint64_t initial_tuples = 0;
-  /// Zero-length pulls to ride out while the source reports Stalled()
-  /// before giving up. When the budget is exhausted the pump stops with
-  /// stats.stalled = true and whatever state was built remains queryable —
-  /// a dead source degrades the answer, it does not hang the pipeline.
-  uint64_t stall_retries = 64;
-  /// Adaptive shedding: when both are set, the controller is ticked every
-  /// controller->options().window_tuples offered tuples with the shed
-  /// stage's realized (offered, kept) deltas, and the returned p is applied
-  /// to `shed`. `shed` must be the (or an) operator in the chain.
-  ShedOperator* shed = nullptr;
-  ShedController* controller = nullptr;
-  /// Checkpointing: every `checkpoint_every` tuples (at the next chunk
-  /// boundary), snapshot shed + controller + sketch into `checkpoint_sink`.
-  /// All three of sink/every must be set for checkpoints to fire; the
-  /// snapshotter is optional (no sketch blob without it).
-  CheckpointSink* checkpoint_sink = nullptr;
-  SketchSnapshotter* snapshot = nullptr;
-  uint64_t checkpoint_every = 0;
-};
-
-/// Pulls every tuple from `source`, pushes it into `head`, calls OnEnd, and
-/// reports counts and wall-clock throughput. With chunk_size > 1 the pump
-/// pulls NextChunk/OnTuples batches of up to `chunk_size` tuples; with
-/// chunk_size <= 1 it pumps tuple-at-a-time through Next/OnTuple (the
-/// pre-batching behavior, kept for operators that care about call shape).
-PipelineStats RunPipeline(StreamSource& source, Operator& head,
-                          size_t chunk_size = kPipelineChunk);
-
-/// The robust pump loop: chunked pull with stall retries, per-window
-/// adaptive shedding, and periodic checkpoints. OnEnd fires only on a clean
-/// end of stream (not on a max_tuples stop or a stall death — the partial
-/// state stays live for degraded answers or resumption).
-PipelineStats RunPipeline(StreamSource& source, Operator& head,
-                          const PipelineOptions& options);
 
 }  // namespace sketchsample
 

@@ -48,7 +48,6 @@ template <typename SketchT>
 class SketchSinkOp final : public Operator {
  public:
   explicit SketchSinkOp(SketchT* sketch) : sketch_(sketch) {}
-  void OnTuple(uint64_t value) override { sketch_->Update(value); }
   void OnTuples(const uint64_t* values, size_t n) override {
     UpdateInto(*sketch_, values, n);
   }
@@ -591,8 +590,8 @@ ShardEngineStats ShardEngine<SketchT>::Run(StreamSource& source) {
   };
 
   // Absolute stream position; window/checkpoint boundaries are phase-locked
-  // to it exactly as in RunPipeline, so a resumed engine makes the same
-  // control decisions at the same offsets as an uninterrupted one.
+  // to it, so a resumed engine makes the same control decisions at the same
+  // offsets as an uninterrupted one.
   uint64_t total = initial_tuples_;
   uint64_t next_window = adaptive ? (total / window + 1) * window : UINT64_MAX;
   uint64_t next_checkpoint =
@@ -612,8 +611,9 @@ ShardEngineStats ShardEngine<SketchT>::Run(StreamSource& source) {
                      options_.quantile_fold_every
                : UINT64_MAX;
   // Window deltas measure against the totals at the last tick: controller
-  // totals on a resume (checkpoints need not align with windows), realized
-  // totals otherwise (mirrors RunPipeline's shed-count bases).
+  // totals on a resume (checkpoints need not align with windows, and the
+  // restored counts sit at the checkpoint, not at the last tick), realized
+  // totals otherwise.
   uint64_t window_seen_base = 0;
   uint64_t window_kept_base = 0;
   if (adaptive) {
@@ -706,17 +706,16 @@ ShardEngineStats ShardEngine<SketchT>::Run(StreamSource& source) {
         double capacity = copts.capacity_per_window;
         if (capacity <= 0.0 && copts.target_tps > 0.0) {
           capacity = copts.target_tps * window_timer.ElapsedSeconds();
-        }
-        if (options_.ring_backpressure && capacity > 0.0 &&
-            window_ring_stalls > 0) {
-          // A window that spent a fraction of its routing attempts waiting
-          // on a full ring gets its capacity discounted by that fraction: a
-          // full ring is the sink saying "too fast" just as surely as a
-          // shrunken budget. Spin counts follow real scheduling, so runs
-          // with engaged backpressure are not bit-reproducible.
-          const double attempts =
-              static_cast<double>(window_chunks + window_ring_stalls);
-          capacity *= static_cast<double>(window_chunks) / attempts;
+          if (window_ring_stalls > 0) {
+            // Wall-clock mode only: a window that spent a fraction of its
+            // routing attempts waiting on a full ring gets its capacity
+            // discounted by that fraction — a full ring is the sink saying
+            // "too fast" just as surely as a slow window. A fixed budget is
+            // never discounted, so budget runs stay reproducible.
+            const double attempts =
+                static_cast<double>(window_chunks + window_ring_stalls);
+            capacity *= static_cast<double>(window_chunks) / attempts;
+          }
         }
         p_ = options_.controller->OnWindow(offered, kept, capacity);
         ++stats.windows;

@@ -1,7 +1,8 @@
 // Stream sources: where tuples come from.
 //
 // A minimal streaming substrate in the shape §VI describes: a source emits
-// join-attribute values, operators (src/stream/operators.h) consume them.
+// join-attribute values, the ingest engine (src/stream/shard_engine.h)
+// consumes them.
 // Sources are pull-based single-pass iterators so unbounded synthetic
 // streams never materialize.
 #ifndef SKETCHSAMPLE_STREAM_SOURCE_H_
@@ -30,7 +31,7 @@ class StreamSource {
   /// Fills out[0..max_n) with up to `max_n` tuples and returns how many
   /// were produced; 0 means end of stream. The default pulls Next() per
   /// tuple; concrete sources override it to fill chunks without per-tuple
-  /// virtual dispatch, which is what lets RunPipeline pump batches.
+  /// virtual dispatch, which is what lets the engine route whole chunks.
   virtual size_t NextChunk(uint64_t* out, size_t max_n) {
     size_t n = 0;
     while (n < max_n) {
@@ -44,8 +45,8 @@ class StreamSource {
   /// Distinguishes "no data right now" from "end of stream" after a
   /// zero-length pull. A source that returned 0 from NextChunk (or nullopt
   /// from Next) while Stalled() is true may produce more tuples on a later
-  /// pull; the pipeline driver retries such sources up to its stall budget
-  /// instead of treating the stream as finished (src/stream/pipeline.h).
+  /// pull; the engine retries such sources up to its stall budget instead
+  /// of treating the stream as finished (src/stream/shard_engine.h).
   /// Sources that cannot stall keep the default.
   virtual bool Stalled() const { return false; }
 };
@@ -53,7 +54,7 @@ class StreamSource {
 /// Pulls and drops up to `n` tuples from `source`; returns how many were
 /// actually discarded (fewer only at end of stream). Used by checkpoint
 /// recovery to fast-forward a freshly constructed deterministic source past
-/// the prefix a restored pipeline has already processed.
+/// the prefix a restored engine has already processed.
 inline uint64_t DiscardTuples(StreamSource& source, uint64_t n) {
   uint64_t scratch[256];
   uint64_t discarded = 0;

@@ -16,9 +16,7 @@
 #include "src/sketch/fagms.h"
 #include "src/sketch/fastcount.h"
 #include "src/sketch/sketch.h"
-#include "src/stream/operators.h"
-#include "src/stream/parallel.h"
-#include "src/stream/pipeline.h"
+#include "src/stream/shard_engine.h"
 #include "src/stream/source.h"
 #include "src/util/metrics.h"
 
@@ -173,39 +171,8 @@ TEST(UpdateBatchTest, MixedScalarAndBatchUpdatesCompose) {
   EXPECT_EQ(scalar.counters(), mixed.counters());
 }
 
-TEST(ParallelBuildTest, MatchesSerialScalarBuildWithCw4) {
-  const std::vector<uint64_t> stream = TestKeys(10000, 5000, 53);
-  SketchParams params;
-  params.rows = 3;
-  params.buckets = 128;
-  params.scheme = XiScheme::kCw4;
-  params.seed = 59;
-  FagmsSketch serial(params);
-  for (uint64_t key : stream) serial.Update(key);
-  const FagmsSketch parallel = ParallelBuildFagms(stream, params, 4);
-  EXPECT_EQ(serial.counters(), parallel.counters());
-}
-
 // ---------------------------------------------------------------------------
-// stream layer: chunked sources, operators, pipeline.
-
-class RecordingOperator final : public Operator {
- public:
-  // Deliberately does NOT override OnTuples: chunks must reach OnTuple
-  // through the base-class forwarding in order.
-  void OnTuple(uint64_t value) override { seen_.push_back(value); }
-  const std::vector<uint64_t>& seen() const { return seen_; }
-
- private:
-  std::vector<uint64_t> seen_;
-};
-
-TEST(OperatorTest, OnTuplesDefaultForwardsInOrder) {
-  RecordingOperator op;
-  const std::vector<uint64_t> chunk = {4, 8, 15, 16, 23, 42};
-  op.OnTuples(chunk.data(), chunk.size());
-  EXPECT_EQ(op.seen(), chunk);
-}
+// stream layer: chunked sources and the chunked engine pump.
 
 TEST(SourceTest, ZipfNextChunkMatchesScalarNext) {
   ZipfSource scalar(1000, 1.0, 5000, 61);
@@ -230,54 +197,6 @@ TEST(SourceTest, VectorNextChunkHandlesPartialTail) {
   EXPECT_FALSE(source.Next().has_value());
 }
 
-TEST(ShedOperatorTest, BatchKeepAllForwardsWholeChunks) {
-  std::vector<uint64_t> got;
-  SinkOperator sink([&](const uint64_t* values, size_t n) {
-    got.insert(got.end(), values, values + n);
-  });
-  ShedOperator shed(1.0, 71, &sink);
-  const std::vector<uint64_t> chunk = {1, 2, 3, 4, 5};
-  shed.OnTuples(chunk.data(), chunk.size());
-  EXPECT_EQ(got, chunk);
-  EXPECT_EQ(shed.forwarded(), 5u);
-  EXPECT_EQ(sink.count(), 5u);
-}
-
-TEST(ShedOperatorTest, BatchKeepNoneForwardsNothing) {
-  SinkOperator sink([](uint64_t) { FAIL() << "p=0 must shed everything"; });
-  ShedOperator shed(0.0, 73, &sink);
-  const std::vector<uint64_t> chunk = {1, 2, 3};
-  shed.OnTuples(chunk.data(), chunk.size());
-  EXPECT_EQ(shed.seen(), 3u);
-  EXPECT_EQ(shed.forwarded(), 0u);
-}
-
-TEST(ShedOperatorTest, BatchKeepsBernoulliFractionAcrossTinyChunks) {
-  // Chunks smaller than typical skips force the carry-over path.
-  SinkOperator sink([](uint64_t) {});
-  ShedOperator shed(0.25, 79, &sink);
-  const std::vector<uint64_t> stream = TestKeys(10000, 100, 83);
-  for (size_t pos = 0; pos < stream.size(); pos += 7) {
-    const size_t n = std::min<size_t>(7, stream.size() - pos);
-    shed.OnTuples(stream.data() + pos, n);
-  }
-  EXPECT_EQ(shed.seen(), 10000u);
-  EXPECT_EQ(shed.forwarded(), sink.count());
-  EXPECT_NEAR(static_cast<double>(shed.forwarded()), 2500.0, 250.0);
-}
-
-TEST(SinkOperatorTest, BatchCallbackHandlesScalarTuples) {
-  uint64_t sum = 0;
-  SinkOperator sink([&](const uint64_t* values, size_t n) {
-    for (size_t i = 0; i < n; ++i) sum += values[i];
-  });
-  sink.OnTuple(5);
-  const std::vector<uint64_t> chunk = {1, 2, 3};
-  sink.OnTuples(chunk.data(), chunk.size());
-  EXPECT_EQ(sum, 11u);
-  EXPECT_EQ(sink.count(), 4u);
-}
-
 TEST(PipelineTest, ChunkedPumpCountsChunksAndMatchesScalarSketch) {
   SketchParams params;
   params.rows = 2;
@@ -288,23 +207,13 @@ TEST(PipelineTest, ChunkedPumpCountsChunksAndMatchesScalarSketch) {
   FagmsSketch expect(params);
   for (uint64_t key : stream) expect.Update(key);
 
-  FagmsSketch sketch(params);
-  SinkOperator sink = MakeSketchSink(sketch);
+  ShardEngine<FagmsSketch> engine(FagmsSketch(params), ShardEngineOptions{});
   VectorSource source(stream);
-  const PipelineStats stats = RunPipeline(source, sink);
+  const ShardEngineStats stats = engine.Run(source);
   EXPECT_EQ(stats.tuples, 2500u);
   EXPECT_EQ(stats.chunks, 3u);  // ceil(2500 / 1024)
-  EXPECT_EQ(sink.count(), 2500u);
-  EXPECT_EQ(sketch.counters(), expect.counters());
-}
-
-TEST(PipelineTest, ScalarFallbackReportsZeroChunks) {
-  VectorSource source(std::vector<uint64_t>(100, 3));
-  SinkOperator sink([](uint64_t) {});
-  const PipelineStats stats = RunPipeline(source, sink, /*chunk_size=*/1);
-  EXPECT_EQ(stats.tuples, 100u);
-  EXPECT_EQ(stats.chunks, 0u);
-  EXPECT_EQ(sink.count(), 100u);
+  EXPECT_EQ(stats.kept, 2500u);
+  EXPECT_EQ(engine.merged().counters(), expect.counters());
 }
 
 // ---------------------------------------------------------------------------

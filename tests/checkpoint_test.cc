@@ -1,6 +1,7 @@
 // Tests for checkpoint/recovery (src/stream/checkpoint.h): kill-and-resume
-// must be bit-exact for every sketch type, and a corrupt checkpoint must
-// throw CheckpointError — never crash, never load silently.
+// through the ingest engine must be bit-exact for every sketch type, and a
+// corrupt checkpoint must throw CheckpointError — never crash, never load
+// silently.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -16,8 +17,7 @@
 #include "src/sketch/fastcount.h"
 #include "src/sketch/serialize.h"
 #include "src/stream/checkpoint.h"
-#include "src/stream/operators.h"
-#include "src/stream/pipeline.h"
+#include "src/stream/shard_engine.h"
 #include "src/stream/shed_controller.h"
 #include "src/stream/source.h"
 #include "src/util/crc32.h"
@@ -31,9 +31,6 @@ struct SketchTraits;
 
 template <>
 struct SketchTraits<AgmsSketch> {
-  static AgmsSketch Deserialize(const std::vector<uint8_t>& b) {
-    return DeserializeAgms(b);
-  }
   static SketchParams Params() {
     SketchParams p;
     p.rows = 64;
@@ -44,9 +41,6 @@ struct SketchTraits<AgmsSketch> {
 
 template <>
 struct SketchTraits<FagmsSketch> {
-  static FagmsSketch Deserialize(const std::vector<uint8_t>& b) {
-    return DeserializeFagms(b);
-  }
   static SketchParams Params() {
     SketchParams p;
     p.rows = 3;
@@ -58,28 +52,22 @@ struct SketchTraits<FagmsSketch> {
 
 template <>
 struct SketchTraits<CountMinSketch> {
-  static CountMinSketch Deserialize(const std::vector<uint8_t>& b) {
-    return DeserializeCountMin(b);
-  }
   static SketchParams Params() { return SketchTraits<FagmsSketch>::Params(); }
 };
 
 template <>
 struct SketchTraits<FastCountSketch> {
-  static FastCountSketch Deserialize(const std::vector<uint8_t>& b) {
-    return DeserializeFastCount(b);
-  }
   static SketchParams Params() { return SketchTraits<FagmsSketch>::Params(); }
 };
 
-// One adaptive, checkpointing pipeline deployment over a deterministic Zipf
+// One adaptive, checkpointing engine deployment over a deterministic Zipf
 // stream; every run with the same knobs sees the identical stream.
 struct RunResult {
   std::vector<double> counters;
   uint64_t seen = 0;
   uint64_t forwarded = 0;
   double controller_p = 0;
-  PipelineStats stats;
+  ShardEngineStats stats;
   std::vector<uint8_t> last_checkpoint;
 };
 
@@ -94,61 +82,32 @@ ShedControllerOptions ControllerOptions() {
   return copts;
 }
 
+// Runs the engine from `checkpoint_bytes` (empty: from the start of the
+// stream) until the stream ends or `kill_after` tuples have been routed.
 template <typename SketchT>
-RunResult RunWithKill(uint64_t kill_after) {
-  ZipfSource source(1000, 1.0, kCount, 9);
-  SketchT sketch(SketchTraits<SketchT>::Params());
-  SinkOperator sink = MakeSketchSink(sketch);
-  ShedOperator shed(1.0, 13, &sink);
-  ShedController controller(ControllerOptions());
-  SketchSnapshot<SketchT> snapshot(sketch);
-  LatestCheckpointSink ckpt;
-
-  PipelineOptions opts;
-  opts.max_tuples = kill_after;
-  opts.shed = &shed;
-  opts.controller = &controller;
-  opts.checkpoint_sink = &ckpt;
-  opts.snapshot = &snapshot;
-  opts.checkpoint_every = kCheckpointEvery;
-
-  RunResult result;
-  result.stats = RunPipeline(source, shed, opts);
-  result.counters.assign(sketch.counters().begin(),
-                          sketch.counters().end());
-  result.seen = shed.seen();
-  result.forwarded = shed.forwarded();
-  result.controller_p = controller.p();
-  result.last_checkpoint = ckpt.bytes();
-  return result;
-}
-
-template <typename SketchT>
-RunResult ResumeFrom(const std::vector<uint8_t>& checkpoint_bytes) {
-  const PipelineCheckpoint cp = DeserializeCheckpoint(checkpoint_bytes);
+RunResult RunEngine(uint64_t kill_after,
+                    const std::vector<uint8_t>& checkpoint_bytes = {}) {
   ZipfSource source(1000, 1.0, kCount, 9);  // fresh deterministic rebuild
-  SketchT sketch = SketchTraits<SketchT>::Deserialize(cp.sketch);
-  SinkOperator sink = MakeSketchSink(sketch);
-  ShedOperator shed(1.0, 13, &sink);
   ShedController controller(ControllerOptions());
-  RestorePipelineComponents(cp, source, &shed, &controller);
-
-  SketchSnapshot<SketchT> snapshot(sketch);
   LatestCheckpointSink ckpt;
-  PipelineOptions opts;
-  opts.initial_tuples = cp.source_tuples;
-  opts.shed = &shed;
+
+  ShardEngineOptions opts;
+  opts.seed = 13;
+  opts.max_tuples = kill_after;
   opts.controller = &controller;
   opts.checkpoint_sink = &ckpt;
-  opts.snapshot = &snapshot;
   opts.checkpoint_every = kCheckpointEvery;
+  ShardEngine<SketchT> engine(SketchT(SketchTraits<SketchT>::Params()), opts);
+  if (!checkpoint_bytes.empty()) {
+    engine.Restore(DeserializeCheckpoint(checkpoint_bytes), source);
+  }
 
   RunResult result;
-  result.stats = RunPipeline(source, shed, opts);
-  result.counters.assign(sketch.counters().begin(),
-                          sketch.counters().end());
-  result.seen = shed.seen();
-  result.forwarded = shed.forwarded();
+  result.stats = engine.Run(source);
+  result.counters.assign(engine.merged().counters().begin(),
+                         engine.merged().counters().end());
+  result.seen = engine.total_seen();
+  result.forwarded = engine.total_kept();
   result.controller_p = controller.p();
   result.last_checkpoint = ckpt.bytes();
   return result;
@@ -163,19 +122,19 @@ TYPED_TEST_SUITE(CheckpointResumeTest, SketchTypes);
 
 TYPED_TEST(CheckpointResumeTest, KillAndResumeIsBitExact) {
   // Ground truth: one uninterrupted adaptive run.
-  const RunResult full = RunWithKill<TypeParam>(0);
+  const RunResult full = RunEngine<TypeParam>(0);
   ASSERT_TRUE(full.stats.ended);
   ASSERT_EQ(full.stats.checkpoints, kCount / kCheckpointEvery);
 
   // Kill mid-stream between two checkpoint boundaries, then resume from the
   // last checkpoint (taken at 24000) with freshly built components.
-  const RunResult killed = RunWithKill<TypeParam>(29000);
+  const RunResult killed = RunEngine<TypeParam>(29000);
   ASSERT_FALSE(killed.stats.ended);  // the cap is a kill, not an end
   ASSERT_FALSE(killed.last_checkpoint.empty());
   ASSERT_EQ(DeserializeCheckpoint(killed.last_checkpoint).source_tuples,
             24000u);
 
-  const RunResult resumed = ResumeFrom<TypeParam>(killed.last_checkpoint);
+  const RunResult resumed = RunEngine<TypeParam>(0, killed.last_checkpoint);
   ASSERT_TRUE(resumed.stats.ended);
 
   // Bit-exact: identical counters, realized counts, and controller state —
@@ -396,37 +355,6 @@ TEST(CheckpointFormatTest, DistinctFlagRequiresShardSection) {
   EXPECT_THROW(DeserializeCheckpoint(bytes), CheckpointError);
 }
 
-TEST(ShedOperatorStateTest, RestoredOperatorReplaysExactly) {
-  std::vector<uint64_t> first(5000), second(5000);
-  for (size_t i = 0; i < first.size(); ++i) {
-    first[i] = i;
-    second[i] = 100000 + i;
-  }
-  std::vector<uint64_t> out_a, out_b;
-  SinkOperator sink_a([&](uint64_t v) { out_a.push_back(v); });
-  SinkOperator sink_b([&](uint64_t v) { out_b.push_back(v); });
-
-  ShedOperator shed_a(0.3, 55, &sink_a);
-  shed_a.OnTuples(first.data(), first.size());
-  shed_a.SetP(0.7);  // mid-stream retarget is part of the saved state
-  shed_a.OnTuples(first.data(), first.size());
-  const ShedOperatorState state = shed_a.SaveState();
-
-  ShedOperator shed_b(0.3, 55, &sink_b);
-  shed_b.RestoreState(state);
-  EXPECT_EQ(shed_b.seen(), shed_a.seen());
-  EXPECT_EQ(shed_b.p(), shed_a.p());
-
-  shed_a.OnTuples(second.data(), second.size());
-  shed_b.OnTuples(second.data(), second.size());
-  out_a.clear();
-  out_b.clear();
-  shed_a.OnTuples(second.data(), second.size());
-  shed_b.OnTuples(second.data(), second.size());
-  EXPECT_EQ(out_a, out_b);  // identical coin/skip sequences after restore
-  EXPECT_EQ(shed_a.forwarded(), shed_b.forwarded());
-}
-
 TEST(FileCheckpointSinkTest, WritesAtomicallyAndReplaces) {
   const std::string path = testing::TempDir() + "/sketchsample_ckpt.bin";
   FileCheckpointSink sink(path);
@@ -449,14 +377,6 @@ TEST(FileCheckpointSinkTest, UnwritablePathThrows) {
   FileCheckpointSink sink("/nonexistent-dir/ckpt.bin");
   PipelineCheckpoint cp;
   EXPECT_THROW(sink.Write(SerializeCheckpoint(cp), 0), std::runtime_error);
-}
-
-TEST(RestorePipelineComponentsTest, ShortSourceIsRejected) {
-  PipelineCheckpoint cp;
-  cp.source_tuples = 1000;
-  VectorSource source(std::vector<uint64_t>(100, 1));  // too short
-  EXPECT_THROW(RestorePipelineComponents(cp, source, nullptr, nullptr),
-               CheckpointError);
 }
 
 TEST(CheckpointMetricsTest, WriteAndRestoreCountersAdvance) {

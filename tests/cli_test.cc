@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "src/stream/checkpoint.h"
 #include "tools/cli.h"
 
 namespace sketchsample {
@@ -361,6 +362,24 @@ TEST_F(CliTest, StreamCorruptCheckpointFailsCleanly) {
   EXPECT_NE(
       Run({"stream", "--tuples=1000", "--resume=" + Path("missing.ck")}),
       0);
+
+  // A well-formed checkpoint with only the legacy shed section and a
+  // controller section (what the retired single-threaded path wrote) has
+  // no shard section for the engine to restore from.
+  PipelineCheckpoint legacy;
+  legacy.source_tuples = 500;
+  legacy.has_shed = true;
+  legacy.shed.p = 0.5;
+  legacy.shed.seen = 500;
+  legacy.shed.forwarded = 250;
+  legacy.has_controller = true;
+  legacy.controller.p = 0.5;
+  legacy.controller.offered = 500;
+  legacy.controller.kept = 250;
+  WriteBinaryFile(Path("legacy.ck"), SerializeCheckpoint(legacy));
+  EXPECT_NE(Run({"stream", "--tuples=1000", "--shed-budget=100",
+                 "--shed-window=100", "--resume=" + Path("legacy.ck")}),
+            0);
 }
 
 TEST_F(CliTest, StreamFaultRunsAreSeedDeterministic) {

@@ -1,10 +1,10 @@
-// Concurrency stress tests for the parallel build path, exercised under
-// ThreadSanitizer by the `tsan` preset/CI job (they also run — and assert
-// bit-exactness — in the regular suites).
+// Concurrency stress tests for the multi-threaded ingest path, exercised
+// under ThreadSanitizer by the `tsan` preset/CI job (they also run — and
+// assert bit-exactness — in the regular suites).
 //
 // What is hammered, and why:
-//   * ParallelBuildFagms shares one immutable ξ/hash state across worker
-//     threads via shared_ptr-const (src/stream/parallel.cc); a stray
+//   * ShardEngine's worker partials are copies of one prototype sketch and
+//     share its immutable ξ/hash state via shared_ptr-const; a stray
 //     mutable member in any ξ family would be a silent race that output
 //     statistics cannot reveal (the paper's variance formulas assume exact
 //     sign evaluations).
@@ -30,7 +30,6 @@
 #include "src/sketch/fagms.h"
 #include "src/sketch/sketch.h"
 #include "src/stream/checkpoint.h"
-#include "src/stream/parallel.h"
 #include "src/stream/shard_engine.h"
 #include "src/stream/shed_controller.h"
 #include "src/stream/source.h"
@@ -47,9 +46,10 @@ std::vector<uint64_t> MakeStream(size_t n, uint64_t seed, uint64_t domain) {
   return stream;
 }
 
-// Every ξ scheme's const evaluation path runs concurrently inside
-// ParallelBuildFagms; a data race in any family (e.g. an accidentally
-// cached intermediate) trips TSan here and breaks bit-exactness below.
+// Every ξ scheme's const evaluation path runs concurrently inside the
+// engine's eight worker lanes (a 2-chunk ring keeps them all busy at
+// once); a data race in any family (e.g. an accidentally cached
+// intermediate) trips TSan here and breaks bit-exactness below.
 TEST(ConcurrencyStressTest, ParallelBuildMatchesSerialForEveryScheme) {
   const std::vector<uint64_t> stream = MakeStream(1 << 15, 42, 1 << 20);
   for (XiScheme scheme : {XiScheme::kEh3, XiScheme::kBch3, XiScheme::kBch5,
@@ -61,8 +61,14 @@ TEST(ConcurrencyStressTest, ParallelBuildMatchesSerialForEveryScheme) {
     params.seed = 7;
     FagmsSketch serial(params);
     serial.UpdateBatch(stream);
-    const FagmsSketch parallel = ParallelBuildFagms(stream, params, 8);
-    EXPECT_EQ(serial.counters(), parallel.counters())
+
+    ShardEngineOptions opts;
+    opts.shards = 8;
+    opts.queue_chunks = 2;
+    ShardEngine<FagmsSketch> engine(FagmsSketch(params), opts);
+    VectorSource source(stream);
+    engine.Run(source);
+    EXPECT_EQ(serial.counters(), engine.merged().counters())
         << "scheme " << static_cast<int>(scheme);
   }
 }
@@ -274,16 +280,17 @@ TEST(ConcurrencyStressTest, ShardEngineRouterWorkersMergerUnderLoad) {
 }
 
 // A shed retarget (controller tick) racing workers that are still draining
-// chunks routed at the old rate, with rings running full the whole time
-// (ring backpressure feeds the congestion back into the controller). The
-// result is scheduling-dependent by design; the assertions are the
-// invariants that must hold under any interleaving.
+// chunks routed at the old rate, with rings running full the whole time.
+// Wall-clock mode, so the ring congestion discounts the controller's
+// capacity. The result is scheduling-dependent by design; the assertions
+// are the invariants that must hold under any interleaving.
 TEST(ConcurrencyStressTest, ShardEngineShedRetargetRacingFullRing) {
   const std::vector<uint64_t> stream = MakeStream(1 << 16, 23, 1 << 12);
 
   ShedControllerOptions copts;
   copts.min_p = 0.05;
-  copts.capacity_per_window = 1000;  // far below offered: constant overload
+  // Far below offered at any plausible ingest rate: constant overload.
+  copts.target_tps = 10000;
   copts.window_tuples = 4096;
   ShedController controller(copts);
 
@@ -293,7 +300,6 @@ TEST(ConcurrencyStressTest, ShardEngineShedRetargetRacingFullRing) {
   opts.chunk_tuples = 128;
   opts.queue_chunks = 2;
   opts.controller = &controller;
-  opts.ring_backpressure = true;
   ShardEngine<FagmsSketch> engine(FagmsSketch(ShardEngineParams()), opts);
   VectorSource source(stream);
   const ShardEngineStats stats = engine.Run(source);

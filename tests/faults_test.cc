@@ -9,9 +9,10 @@
 #include <stdexcept>
 #include <vector>
 
+#include "src/sketch/fagms.h"
 #include "src/stream/faults.h"
 #include "src/stream/operators.h"
-#include "src/stream/pipeline.h"
+#include "src/stream/shard_engine.h"
 #include "src/stream/source.h"
 
 namespace sketchsample {
@@ -45,6 +46,29 @@ std::vector<uint64_t> Drain(StreamSource& source, size_t chunk,
   }
   return out;
 }
+
+// Pumps `source` through a one-lane ingest engine at p = 1, so every
+// routed tuple reaches the sketch.
+ShardEngineStats RunEngine(StreamSource& source, size_t chunk,
+                           uint64_t stall_retries) {
+  SketchParams params;
+  params.rows = 1;
+  params.buckets = 16;
+  ShardEngineOptions opts;
+  opts.chunk_tuples = chunk;
+  opts.stall_retries = stall_retries;
+  ShardEngine<FagmsSketch> engine(FagmsSketch(params), opts);
+  return engine.Run(source);
+}
+
+// Records every tuple pushed into it.
+class RecordingOperator final : public Operator {
+ public:
+  void OnTuples(const uint64_t* values, size_t n) override {
+    seen.insert(seen.end(), values, values + n);
+  }
+  std::vector<uint64_t> seen;
+};
 
 TEST(FaultProfileTest, NamedPresets) {
   EXPECT_FALSE(FaultProfile::FromName("none").Active());
@@ -149,11 +173,7 @@ TEST(FaultInjectingSourceTest, BoundedStallIsRiddenOut) {
   VectorSource inner(input);
   FaultInjectingSource source(&inner, profile, kSeed);
 
-  SinkOperator sink([](uint64_t) {});
-  PipelineOptions opts;
-  opts.chunk_size = 256;
-  opts.stall_retries = 8;
-  const PipelineStats stats = RunPipeline(source, sink, opts);
+  const ShardEngineStats stats = RunEngine(source, 256, 8);
   EXPECT_TRUE(stats.ended) << "fault seed " << kSeed;
   EXPECT_FALSE(stats.stalled);
   EXPECT_EQ(stats.tuples, input.size());
@@ -163,19 +183,15 @@ TEST(FaultInjectingSourceTest, BoundedStallIsRiddenOut) {
 TEST(FaultInjectingSourceTest, ExhaustedRetryBudgetDegradesNotHangs) {
   FaultProfile profile;
   profile.stall_every = 100;
-  profile.stall_pulls = 50;  // longer than the pipeline's patience
+  profile.stall_pulls = 50;  // longer than the engine's patience
   VectorSource inner(SequentialValues(5000));
   FaultInjectingSource source(&inner, profile, kSeed);
 
-  SinkOperator sink([](uint64_t) {});
-  PipelineOptions opts;
-  opts.chunk_size = 64;
-  opts.stall_retries = 4;
-  const PipelineStats stats = RunPipeline(source, sink, opts);
+  const ShardEngineStats stats = RunEngine(source, 64, 4);
   EXPECT_TRUE(stats.stalled) << "fault seed " << kSeed;
   EXPECT_FALSE(stats.ended);
   // The partial answer survives: everything emitted before the stall.
-  EXPECT_EQ(sink.count(), stats.tuples);
+  EXPECT_EQ(stats.kept, stats.tuples);
   EXPECT_GT(stats.tuples, 0u);
 }
 
@@ -185,16 +201,12 @@ TEST(FaultInjectingSourceTest, MidStreamDeathStopsThePipeline) {
   VectorSource inner(SequentialValues(10000));
   FaultInjectingSource source(&inner, profile, kSeed);
 
-  SinkOperator sink([](uint64_t) {});
-  PipelineOptions opts;
-  opts.chunk_size = 128;
-  opts.stall_retries = 4;
-  const PipelineStats stats = RunPipeline(source, sink, opts);
+  const ShardEngineStats stats = RunEngine(source, 128, 4);
   EXPECT_TRUE(stats.stalled) << "fault seed " << kSeed;
   EXPECT_FALSE(stats.ended);  // death is not a clean end of stream
   EXPECT_TRUE(source.dead());
   EXPECT_EQ(stats.tuples, 500u);
-  EXPECT_EQ(sink.count(), 500u);
+  EXPECT_EQ(stats.kept, 500u);
 }
 
 TEST(FaultInjectingSourceTest, ScalarNextMatchesFaultSemantics) {
@@ -218,21 +230,22 @@ TEST(FaultInjectingSourceTest, ScalarNextMatchesFaultSemantics) {
 TEST(FaultInjectingOperatorTest, InjectsOnThePushPath) {
   FaultProfile profile;
   profile.duplicate_prob = 1.0;
-  SinkOperator sink([](uint64_t) {});
+  RecordingOperator sink;
   FaultInjectingOperator faulty(&sink, profile, kSeed);
   const std::vector<uint64_t> input = SequentialValues(100);
   faulty.OnTuples(input.data(), input.size());
-  EXPECT_EQ(sink.count(), 200u);
+  EXPECT_EQ(sink.seen.size(), 200u);
   EXPECT_EQ(faulty.faults_injected(), 100u);
 
   FaultProfile corrupt;
   corrupt.corrupt_prob = 1.0;
   corrupt.corrupt_mask = 0xFULL;
-  uint64_t received = 0;
-  SinkOperator capture([&](uint64_t v) { received = v; });
+  RecordingOperator capture;
   FaultInjectingOperator faulty2(&capture, corrupt, kSeed);
-  faulty2.OnTuple(0x100);
-  EXPECT_EQ(received & ~0xFULL, 0x100u) << "fault seed " << kSeed;
+  const uint64_t value = 0x100;
+  faulty2.OnTuples(&value, 1);
+  ASSERT_EQ(capture.seen.size(), 1u);
+  EXPECT_EQ(capture.seen[0] & ~0xFULL, 0x100u) << "fault seed " << kSeed;
   EXPECT_EQ(faulty2.faults_injected(), 1u);
 }
 

@@ -6,6 +6,7 @@
 #include <map>
 #include <numeric>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "src/data/frequency_vector.h"
@@ -144,6 +145,73 @@ TEST(GeometricSkipTest, MatchesCoinFlipLaw) {
       std::accumulate(skip_hits.begin(), skip_hits.end(), 0.0) / kN;
   EXPECT_NEAR(coin_avg, kReps * kP, 3.0);
   EXPECT_NEAR(skip_avg, kReps * kP, 3.0);
+}
+
+// The positional sampler is the ingest engine's shed stage: the decision
+// for absolute position i is a pure function of (seed, i, p).
+TEST(PositionalBernoulliSamplerTest, RejectsBadProbability) {
+  EXPECT_THROW(PositionalBernoulliSampler(-0.1, 1), std::invalid_argument);
+  EXPECT_THROW(PositionalBernoulliSampler(1.1, 1), std::invalid_argument);
+}
+
+TEST(PositionalBernoulliSamplerTest, ExtremeProbabilities) {
+  const PositionalBernoulliSampler none(0.0, 3);
+  const PositionalBernoulliSampler all(1.0, 3);
+  for (uint64_t i = 0; i < 10000; ++i) {
+    ASSERT_FALSE(none.Keep(i)) << i;
+    ASSERT_TRUE(all.Keep(i)) << i;
+  }
+}
+
+TEST(PositionalBernoulliSamplerTest, KeptCountIsBinomial) {
+  constexpr uint64_t kN = 100000;
+  constexpr double kP = 0.25;
+  const PositionalBernoulliSampler sampler(kP, 79);
+  uint64_t kept = 0;
+  for (uint64_t i = 0; i < kN; ++i) kept += sampler.Keep(i) ? 1 : 0;
+  // Binomial(N, p): within 5 standard deviations of N·p.
+  const double sd = std::sqrt(kN * kP * (1 - kP));
+  EXPECT_NEAR(static_cast<double>(kept), kN * kP, 5.0 * sd);
+}
+
+TEST(PositionalBernoulliSamplerTest, KeepBatchMatchesKeepLoop) {
+  constexpr uint64_t kBase = 1000003;
+  std::vector<uint64_t> values(5000);
+  std::iota(values.begin(), values.end(), 17);
+  for (double p : {0.0, 0.37, 1.0}) {
+    SCOPED_TRACE(p);
+    const PositionalBernoulliSampler sampler(p, 83);
+    std::vector<uint64_t> expect;
+    for (size_t i = 0; i < values.size(); ++i) {
+      if (sampler.Keep(kBase + i)) expect.push_back(values[i]);
+    }
+
+    std::vector<uint64_t> out(values.size());
+    out.resize(
+        sampler.KeepBatch(kBase, values.data(), values.size(), out.data()));
+    EXPECT_EQ(out, expect);
+
+    std::vector<uint64_t> in_place = values;  // out == values
+    in_place.resize(sampler.KeepBatch(kBase, in_place.data(),
+                                      in_place.size(), in_place.data()));
+    EXPECT_EQ(in_place, expect);
+
+    // Chunk boundaries do not matter: position, not batching, decides.
+    std::vector<uint64_t> chunked;
+    std::vector<uint64_t> scratch(7);
+    for (size_t pos = 0; pos < values.size(); pos += 7) {
+      const size_t n = std::min<size_t>(7, values.size() - pos);
+      const size_t k =
+          sampler.KeepBatch(kBase + pos, values.data() + pos, n,
+                            scratch.data());
+      chunked.insert(chunked.end(), scratch.begin(), scratch.begin() + k);
+    }
+    EXPECT_EQ(chunked, expect);
+
+    uint64_t untouched = 42;
+    EXPECT_EQ(sampler.KeepBatch(kBase, values.data(), 0, &untouched), 0u);
+    EXPECT_EQ(untouched, 42u);
+  }
 }
 
 // ---------------------------------------------------------------------------

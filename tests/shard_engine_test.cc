@@ -6,12 +6,14 @@
 //    shedding + exact counter merges).
 //  - Recovery: kill-and-resume from a shard-section checkpoint is
 //    bit-exact, including resumes at a *different* shard count, and with
-//    the adaptive controller in the loop (fixed-budget mode).
+//    the adaptive controller in the loop (fixed-budget mode, which ring
+//    congestion never perturbs).
 //  - Fault accounting: per-shard fault injection keeps the global
 //    stream.faults.injected counter the exact sum of per-shard counters.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -131,6 +133,26 @@ TEST(ShardEngineTest, KmvMergedMinimaInvariantAcrossShardCounts) {
         ASSERT_TRUE(a.minima() == b.minima()) << tag;
         ASSERT_EQ(a.EstimateDistinct(), b.EstimateDistinct()) << tag;
       });
+}
+
+// Streams shorter than one chunk per lane, the empty stream, and a shard
+// count of 0 (clamped to one lane) still give the serial sketch exactly.
+TEST(ShardEngineTest, TinyStreamsMatchSerialAtAnyShardCount) {
+  for (const std::vector<uint64_t>& values :
+       {std::vector<uint64_t>{}, std::vector<uint64_t>{1, 2, 3}}) {
+    FagmsSketch serial(SmallParams());
+    serial.UpdateBatch(values);
+    for (const size_t shards : {0u, 1u, 16u}) {
+      ShardEngineOptions opts;
+      opts.shards = shards;
+      ShardEngine<FagmsSketch> engine(FagmsSketch(SmallParams()), opts);
+      const ShardEngineStats stats = RunEngine(engine, values);
+      EXPECT_TRUE(stats.ended) << shards;
+      EXPECT_EQ(stats.merges, shards == 0 ? 1u : shards);
+      EXPECT_EQ(engine.total_kept(), values.size()) << shards;
+      ExpectCountersEqual(serial, engine.merged(), shards);
+    }
+  }
 }
 
 // The engine's kept set must be exactly what the positional sampler says:
@@ -259,10 +281,10 @@ TEST(ShardEngineTest, SecondKillAfterResumeStillCoversWholePrefix) {
   ExpectCountersEqual(uninterrupted.merged(), final_engine.merged(), 0);
 }
 
-// Adaptive mode with the deterministic fixed budget (ring backpressure
-// off): the p trajectory is a pure function of the realized counts, which
-// are partition-independent — so shard counts must not change the result,
-// and kill-and-resume must replay the same control decisions.
+// Adaptive mode with the deterministic fixed budget: the p trajectory is a
+// pure function of the realized counts, which are partition-independent —
+// so shard counts must not change the result, and kill-and-resume must
+// replay the same control decisions.
 TEST(ShardEngineTest, AdaptiveFixedBudgetInvariantAcrossShardCounts) {
   const std::vector<uint64_t> values = MakeStream(40000, 13, 3000);
   const FagmsSketch proto{SmallParams()};
@@ -279,7 +301,6 @@ TEST(ShardEngineTest, AdaptiveFixedBudgetInvariantAcrossShardCounts) {
   ref_opts.seed = kRootSeed;
   ref_opts.chunk_tuples = 512;
   ref_opts.controller = &reference_controller;
-  ref_opts.ring_backpressure = false;
   ShardEngine<FagmsSketch> reference(proto, ref_opts);
   const ShardEngineStats ref_stats = RunEngine(reference, values);
   EXPECT_GT(ref_stats.windows, 0u);
@@ -313,7 +334,6 @@ TEST(ShardEngineTest, AdaptiveKillAndResumeReplaysControlDecisions) {
     opts.seed = kRootSeed;
     opts.chunk_tuples = 512;
     opts.controller = controller;
-    opts.ring_backpressure = false;
     return opts;
   };
 
@@ -345,6 +365,47 @@ TEST(ShardEngineTest, AdaptiveKillAndResumeReplaysControlDecisions) {
   EXPECT_EQ(resumed_controller.windows(), uninterrupted_controller.windows());
   EXPECT_EQ(resumed.total_kept(), uninterrupted.total_kept());
   ExpectCountersEqual(uninterrupted.merged(), resumed.merged(), 0);
+}
+
+// A fixed per-window budget is never discounted by ring congestion, so a
+// budget run is a pure function of the stream even when a slow sketch keeps
+// a tiny ring full: it must match, decision for decision, the same run
+// through a ring large enough that the router never waits.
+TEST(ShardEngineTest, BudgetModeIgnoresRingCongestion) {
+  const std::vector<uint64_t> values = MakeStream(40000, 37, 3000);
+  SketchParams params;
+  params.rows = 256;  // slow per-tuple update: the worker trails the router
+  params.seed = kSketchSeed;
+  const AgmsSketch proto(params);
+
+  ShedControllerOptions copts;
+  copts.min_p = 0.05;
+  copts.capacity_per_window = 2000;
+  copts.window_tuples = 8192;  // 32 chunks against a 2-chunk ring
+
+  auto run = [&](size_t queue_chunks, ShardEngineStats* stats) {
+    ShedController controller(copts);
+    ShardEngineOptions opts;
+    opts.shards = 1;
+    opts.seed = kRootSeed;
+    opts.chunk_tuples = 256;
+    opts.queue_chunks = queue_chunks;
+    opts.controller = &controller;
+    auto engine = std::make_unique<ShardEngine<AgmsSketch>>(proto, opts);
+    *stats = RunEngine(*engine, values);
+    return engine;
+  };
+
+  ShardEngineStats tiny_stats;
+  const auto tiny = run(2, &tiny_stats);
+  ShardEngineStats roomy_stats;
+  const auto roomy = run(64, &roomy_stats);  // holds a whole window
+
+  EXPECT_GT(tiny_stats.ring_full_retries, 0u);
+  EXPECT_EQ(roomy_stats.ring_full_retries, 0u);
+  EXPECT_LT(roomy->p(), 1.0);  // the budget forces shedding
+  EXPECT_EQ(tiny->p(), roomy->p());
+  EXPECT_EQ(tiny->total_kept(), roomy->total_kept());
 }
 
 // A second Run on the same engine continues from where the first stopped —

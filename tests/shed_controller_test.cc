@@ -14,8 +14,7 @@
 #include "src/data/frequency_vector.h"
 #include "src/sketch/agms.h"
 #include "src/sketch/fagms.h"
-#include "src/stream/operators.h"
-#include "src/stream/pipeline.h"
+#include "src/stream/shard_engine.h"
 #include "src/stream/shed_controller.h"
 #include "src/stream/source.h"
 #include "src/util/rng.h"
@@ -126,17 +125,24 @@ TEST(ShedControllerTest, RealizedEstimatesMatchManualCorrections) {
   EXPECT_DOUBLE_EQ(RealizedJoinEstimate(raw, p, q), raw / (p * q));
 }
 
-// End-to-end §VI-A overload deployment: source -> adaptive shed -> sketch,
-// with the source offering 10x what the sink can absorb. The controller
-// must converge to a steady rate with tail throughput within 10% of the
-// budget, and the answer corrected at the realized rate with an Eq 26
-// interval must cover the exact self-join size.
+// kept/offered over everything the engine has routed.
+double RealizedRate(const ShardEngine<AgmsSketch>& engine) {
+  return static_cast<double>(engine.total_kept()) /
+         static_cast<double>(engine.total_seen());
+}
+
+// End-to-end §VI-A overload deployment through the ingest engine:
+// source -> adaptive positional shed -> sketch, with the source offering
+// 10x what the sink can absorb. The controller must converge to a steady
+// rate with tail throughput within 10% of the budget, and the answer
+// corrected at the realized rate with an Eq 26 interval must cover the
+// exact self-join size.
 struct OverloadRun {
   uint64_t forwarded = 0;
   double final_p = 0;
   double realized_p = 0;
   double raw_selfjoin = 0;
-  PipelineStats stats;
+  ShardEngineStats stats;
 };
 
 OverloadRun RunOverloadPipeline(uint64_t max_tuples) {
@@ -145,9 +151,6 @@ OverloadRun RunOverloadPipeline(uint64_t max_tuples) {
   SketchParams params;
   params.rows = 256;
   params.seed = 31;
-  AgmsSketch sketch(params);
-  SinkOperator sink = MakeSketchSink(sketch);
-  ShedOperator shed(0.3, 41, &sink);
 
   ShedControllerOptions copts;
   copts.initial_p = 0.3;
@@ -156,16 +159,18 @@ OverloadRun RunOverloadPipeline(uint64_t max_tuples) {
   copts.window_tuples = 20000;
   ShedController controller(copts);
 
-  PipelineOptions popts;
-  popts.max_tuples = max_tuples;
-  popts.shed = &shed;
-  popts.controller = &controller;
+  ShardEngineOptions eopts;
+  eopts.shed_p = 0.3;
+  eopts.seed = 41;
+  eopts.max_tuples = max_tuples;
+  eopts.controller = &controller;
+  ShardEngine<AgmsSketch> engine(AgmsSketch(params), eopts);
   OverloadRun run;
-  run.stats = RunPipeline(source, shed, popts);
-  run.forwarded = shed.forwarded();
-  run.final_p = shed.p();
-  run.realized_p = shed.realized_rate();
-  run.raw_selfjoin = sketch.EstimateSelfJoin();
+  run.stats = engine.Run(source);
+  run.forwarded = engine.total_kept();
+  run.final_p = engine.p();
+  run.realized_p = RealizedRate(engine);
+  run.raw_selfjoin = engine.merged().EstimateSelfJoin();
   return run;
 }
 
@@ -217,17 +222,21 @@ TEST(ShedControllerTest, RealizedRateJoinWithinProp13Bound) {
   SketchParams params;
   params.rows = 256;
   params.seed = 77;
-  AgmsSketch sa(params), sb(params);  // same seed: joinable pair
+  const AgmsSketch proto(params);  // same seed: joinable pair
 
-  SinkOperator sink_a = MakeSketchSink(sa);
-  SinkOperator sink_b = MakeSketchSink(sb);
-  ShedOperator shed_a(0.3, 101, &sink_a);
-  ShedOperator shed_b(0.5, 103, &sink_b);
+  ShardEngineOptions opts_a;
+  opts_a.shed_p = 0.3;
+  opts_a.seed = 101;
+  ShardEngineOptions opts_b;
+  opts_b.shed_p = 0.5;
+  opts_b.seed = 103;
+  ShardEngine<AgmsSketch> shed_a(proto, opts_a);
+  ShardEngine<AgmsSketch> shed_b(proto, opts_b);
 
   ZipfSource src_a(kDomain, kSkew, kCount, 1);
   ZipfSource src_b(kDomain, kSkew, kCount, 2);
-  RunPipeline(src_a, shed_a);
-  RunPipeline(src_b, shed_b);
+  shed_a.Run(src_a);
+  shed_b.Run(src_b);
 
   std::vector<uint64_t> all_a, all_b;
   ZipfSource mirror_a(kDomain, kSkew, kCount, 1);
@@ -238,15 +247,15 @@ TEST(ShedControllerTest, RealizedRateJoinWithinProp13Bound) {
   const FrequencyVector fb = FrequencyVector::FromStream(all_b, kDomain);
   const double truth = ExactJoinSize(fa, fb);
 
-  const double rp = shed_a.realized_rate();
-  const double rq = shed_b.realized_rate();
+  const double rp = RealizedRate(shed_a);
+  const double rq = RealizedRate(shed_b);
   // Realized rates track the nominal ones but are not equal to them; the
   // estimator must scale by what actually happened.
   EXPECT_NEAR(rp, 0.3, 0.02);
   EXPECT_NEAR(rq, 0.5, 0.02);
 
-  const double estimate =
-      RealizedJoinEstimate(sa.EstimateJoin(sb), rp, rq);
+  const double estimate = RealizedJoinEstimate(
+      shed_a.merged().EstimateJoin(shed_b.merged()), rp, rq);
   const JoinStatistics s = ComputeJoinStatistics(fa, fb);
   const double sigma =
       std::sqrt(BernoulliJoinVariance(s, rp, rq, params.rows).Total());
@@ -281,15 +290,16 @@ TEST(ShedControllerTest, Eq26IntervalCoversAcrossSeeds) {
     SketchParams params;
     params.rows = 128;
     params.seed = MixSeed(9000, static_cast<uint64_t>(t));
-    AgmsSketch sketch(params);
-    SinkOperator sink = MakeSketchSink(sketch);
-    ShedOperator shed(kP, MixSeed(9500, static_cast<uint64_t>(t)), &sink);
+    ShardEngineOptions opts;
+    opts.shed_p = kP;
+    opts.seed = MixSeed(9500, static_cast<uint64_t>(t));
+    ShardEngine<AgmsSketch> shed(AgmsSketch(params), opts);
     VectorSource source(all);
-    RunPipeline(source, shed);
+    shed.Run(source);
 
-    const double rp = shed.realized_rate();
+    const double rp = RealizedRate(shed);
     const double estimate = RealizedSelfJoinEstimate(
-        sketch.EstimateSelfJoin(), rp, shed.forwarded());
+        shed.merged().EstimateSelfJoin(), rp, shed.total_kept());
     const ConfidenceInterval ci =
         RealizedSelfJoinInterval(estimate, s, rp, params.rows, 0.95);
     if (truth > ci.low && truth < ci.high) ++covered;

@@ -1,11 +1,11 @@
-// Tests for the streaming substrate: sources, operators, pipeline driver.
+// Tests for the streaming substrate: sources and the ingest path that
+// pumps them (the sharded engine, src/stream/shard_engine.h).
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "src/sketch/fagms.h"
-#include "src/stream/operators.h"
-#include "src/stream/pipeline.h"
+#include "src/stream/shard_engine.h"
 #include "src/stream/source.h"
 
 namespace sketchsample {
@@ -37,42 +37,15 @@ TEST(ZipfSourceTest, ValuesInDomain) {
   while (auto v = source.Next()) EXPECT_LT(*v, 10u);
 }
 
-TEST(SinkOperatorTest, CountsAndForwards) {
-  std::vector<uint64_t> seen;
-  SinkOperator sink([&](uint64_t v) { seen.push_back(v); });
-  sink.OnTuple(5);
-  sink.OnTuple(6);
-  EXPECT_EQ(sink.count(), 2u);
-  EXPECT_EQ(seen, (std::vector<uint64_t>{5, 6}));
-}
-
-TEST(ShedOperatorTest, ForwardsBernoulliFraction) {
-  SinkOperator sink([](uint64_t) {});
-  ShedOperator shed(0.25, 3, &sink);
-  for (uint64_t v = 0; v < 10000; ++v) shed.OnTuple(v);
-  EXPECT_EQ(shed.seen(), 10000u);
-  EXPECT_EQ(shed.forwarded(), sink.count());
-  EXPECT_NEAR(static_cast<double>(shed.forwarded()), 2500.0, 250.0);
-}
-
-TEST(ShedOperatorTest, ProbabilityExtremes) {
-  SinkOperator sink([](uint64_t) {});
-  ShedOperator keep_all(1.0, 1, &sink);
-  for (int i = 0; i < 100; ++i) keep_all.OnTuple(1);
-  EXPECT_EQ(keep_all.forwarded(), 100u);
-
-  SinkOperator sink2([](uint64_t) {});
-  ShedOperator keep_none(0.0, 1, &sink2);
-  for (int i = 0; i < 100; ++i) keep_none.OnTuple(1);
-  EXPECT_EQ(keep_none.forwarded(), 0u);
-}
-
 TEST(PipelineTest, PumpsWholeSourceAndTimes) {
   VectorSource source(std::vector<uint64_t>(1000, 3));
-  SinkOperator sink([](uint64_t) {});
-  const PipelineStats stats = RunPipeline(source, sink);
+  SketchParams params;
+  params.rows = 1;
+  params.buckets = 16;
+  ShardEngine<FagmsSketch> engine(FagmsSketch(params), ShardEngineOptions{});
+  const ShardEngineStats stats = engine.Run(source);
   EXPECT_EQ(stats.tuples, 1000u);
-  EXPECT_EQ(sink.count(), 1000u);
+  EXPECT_EQ(stats.kept, 1000u);
   EXPECT_GE(stats.seconds, 0.0);
   EXPECT_GE(stats.TuplesPerSecond(), 0.0);
 }
@@ -87,9 +60,10 @@ TEST(PipelineTest, ShedThenSketchEndToEnd) {
   params.rows = 1;
   params.buckets = 2048;
   params.seed = 13;
-  FagmsSketch sketch(params);
-  SinkOperator sink([&](uint64_t v) { sketch.Update(v); });
-  ShedOperator shed(0.2, 17, &sink);
+  ShardEngineOptions opts;
+  opts.shed_p = 0.2;
+  opts.seed = 17;
+  ShardEngine<FagmsSketch> engine(FagmsSketch(params), opts);
 
   // Also track the exact frequencies to know the truth.
   std::vector<uint64_t> all;
@@ -97,11 +71,11 @@ TEST(PipelineTest, ShedThenSketchEndToEnd) {
   while (auto v = mirror.Next()) all.push_back(*v);
   const double truth = FrequencyVector::FromStream(all, 100).F2();
 
-  RunPipeline(source, shed);
-  const double raw = sketch.EstimateSelfJoin();
+  engine.Run(source);
+  const double raw = engine.merged().EstimateSelfJoin();
   const double corrected =
       raw / (0.2 * 0.2) -
-      (1.0 - 0.2) / (0.2 * 0.2) * static_cast<double>(shed.forwarded());
+      (1.0 - 0.2) / (0.2 * 0.2) * static_cast<double>(engine.total_kept());
   EXPECT_LT(std::abs(corrected - truth) / truth, 0.25);
 }
 

@@ -21,8 +21,6 @@
 #include "src/sketch/serialize.h"
 #include "src/stream/checkpoint.h"
 #include "src/stream/faults.h"
-#include "src/stream/operators.h"
-#include "src/stream/pipeline.h"
 #include "src/stream/shard_engine.h"
 #include "src/stream/shed_controller.h"
 #include "src/stream/source.h"
@@ -401,103 +399,16 @@ int CmdRange(int argc, char** argv) {
   return 0;
 }
 
-// The --shards=N path of `stream`: same stream, same honest reporting, but
-// ingested by the multi-threaded ShardEngine — positional Bernoulli
-// shedding (seeded by --shed-seed, identical tuples kept at any shard
-// count), one partial sketch per worker, merged at the end. Checkpoints
-// carry the per-shard section, so a resume may use a different --shards.
-// Faults stay on the pull path (FaultInjectingSource), exactly as in the
-// single-threaded pipeline.
-int RunShardedStream(const Flags& flags, const std::vector<uint64_t>& values,
-                     const SketchParams& params, ShedController* controller) {
-  ShardEngineOptions eopts;
-  eopts.shards = static_cast<size_t>(flags.GetInt("shards"));
-  eopts.shed_p = flags.GetDouble("shed-p");
-  eopts.seed = static_cast<uint64_t>(flags.GetInt("shed-seed"));
-  eopts.controller = controller;
-  eopts.max_tuples = static_cast<uint64_t>(flags.GetInt("max-tuples"));
-  eopts.stall_retries = static_cast<uint64_t>(flags.GetInt("stall-retries"));
-
-  std::optional<FileCheckpointSink> checkpoint_sink;
-  const std::string checkpoint_out = flags.GetString("checkpoint-out");
-  const uint64_t checkpoint_every =
-      static_cast<uint64_t>(flags.GetInt("checkpoint-every"));
-  if (checkpoint_every > 0 && !checkpoint_out.empty()) {
-    checkpoint_sink.emplace(checkpoint_out);
-    eopts.checkpoint_sink = &*checkpoint_sink;
-    eopts.checkpoint_every = checkpoint_every;
-  }
-
-  ShardEngine<FagmsSketch> engine(FagmsSketch(params), eopts);
-
-  VectorSource vector_source(values);
-  StreamSource* source = &vector_source;
-  const FaultProfile profile =
-      FaultProfile::FromName(flags.GetString("fault-profile"));
-  uint64_t fault_seed = static_cast<uint64_t>(flags.GetInt("fault-seed"));
-  if (fault_seed == 0) fault_seed = FaultSeedFromEnv(77);
-  std::optional<FaultInjectingSource> faulty;
-  if (profile.Active()) {
-    faulty.emplace(&vector_source, profile, fault_seed);
-    source = &*faulty;
-  }
-
-  const std::string resume_path = flags.GetString("resume");
-  if (!resume_path.empty()) {
-    engine.Restore(DeserializeCheckpoint(ReadBinaryFile(resume_path)),
-                   *source);
-  }
-
-  const ShardEngineStats stats = engine.Run(*source);
-
-  const FrequencyVector f = FrequencyVector::FromStream(values);
-  const JoinStatistics join_stats = ComputeJoinStatistics(f, f);
-  const double realized_p =
-      engine.total_seen() > 0
-          ? static_cast<double>(engine.total_kept()) /
-                static_cast<double>(engine.total_seen())
-          : engine.p();
-  const double estimate = RealizedSelfJoinEstimate(
-      engine.merged().EstimateSelfJoin(), realized_p, engine.total_kept());
-  const ConfidenceInterval ci =
-      RealizedSelfJoinInterval(estimate, join_stats, realized_p,
-                               params.buckets, flags.GetDouble("level"));
-
-  std::printf("shards      %llu\n",
-              static_cast<unsigned long long>(eopts.shards));
-  std::printf("tuples      %llu\n",
-              static_cast<unsigned long long>(engine.total_seen()));
-  std::printf("kept        %llu\n",
-              static_cast<unsigned long long>(engine.total_kept()));
-  std::printf("realized_p  %.17g\n", realized_p);
-  std::printf("final_p     %.17g\n", stats.final_p);
-  std::printf("windows     %llu\n",
-              static_cast<unsigned long long>(
-                  controller ? controller->windows() : stats.windows));
-  std::printf("checkpoints %llu\n",
-              static_cast<unsigned long long>(stats.checkpoints));
-  std::printf("tps         %.17g\n", stats.TuplesPerSecond());
-  if (profile.Active()) {
-    std::printf("faults      %llu\n",
-                static_cast<unsigned long long>(faulty->faults_injected()));
-    std::printf("fault_seed  %llu\n",
-                static_cast<unsigned long long>(fault_seed));
-  }
-  std::printf("estimate    %.17g\n", estimate);
-  std::printf("exact       %.17g\n", ExactSelfJoinSize(f));
-  std::printf("ci          %.17g %.17g\n", ci.low, ci.high);
-  std::printf("outcome     %s\n", stats.ended     ? "ended"
-                                  : stats.stalled ? "stalled"
-                                                  : "stopped");
-  return 0;
-}
-
-// Runs the robust streaming pipeline end to end: source (file or synthetic
-// Zipf) → optional fault injection → Bernoulli shed stage (optionally
-// retargeted per window by a ShedController) → F-AGMS sketch sink, with
-// periodic checkpoints and checkpoint resume. Reports the realized-rate-
-// corrected self-join estimate with its Eq 26 confidence interval alongside
-// the exact answer, so accuracy-vs-load curves fall out of a flag sweep.
+// Runs the streaming ingest path end to end on the sharded engine: source
+// (file or synthetic Zipf) → optional fault injection on the pull path →
+// router → per-lane positional Bernoulli shed (keyed by --shed-seed, so the
+// same tuples survive at any --shards; optionally retargeted per window by
+// a ShedController) → F-AGMS partials, merged at the end. Checkpoints carry
+// the per-shard section, so a resume may use a different --shards. Reports
+// the realized-rate-corrected self-join estimate with its Eq 26 confidence
+// interval alongside the exact answer, so accuracy-vs-load curves fall out
+// of a flag sweep. Nothing printed is a wall-clock timing, so a run without
+// --shed-target-tps prints the same bytes every time.
 int CmdStream(int argc, char** argv) {
   Flags flags;
   flags.Define("in", "", "dataset file (empty: synthetic zipf stream)");
@@ -506,7 +417,9 @@ int CmdStream(int argc, char** argv) {
   flags.Define("skew", "1.0", "zipf: coefficient");
   flags.Define("source-seed", "1", "zipf source seed");
   flags.Define("shed-p", "1", "initial Bernoulli keep-probability");
-  flags.Define("shed-seed", "7", "shed stage randomness seed");
+  flags.Define("shed-seed", "7",
+               "root seed of the positional shed sampler (tuple i is kept "
+               "iff a hash of (seed, i) falls under p)");
   flags.Define("shed-budget", "0",
                "adaptive: kept-tuple budget per window (deterministic)");
   flags.Define("shed-target-tps", "0",
@@ -526,10 +439,10 @@ int CmdStream(int argc, char** argv) {
   flags.Define("max-tuples", "0",
                "stop after this many tuples (0 = run to end; simulates a "
                "mid-stream kill for checkpoint testing)");
-  flags.Define("shards", "0",
-               "worker shards for the multi-threaded engine (0 = classic "
-               "single-threaded pipeline; N >= 1 routes through ShardEngine "
-               "with positional shedding keyed by --shed-seed)");
+  flags.Define("shards", "1",
+               "worker lanes of the ingest engine (values below 1 run one "
+               "lane); without --shed-target-tps every count prints the "
+               "same estimate");
   flags.Define("level", "0.95", "confidence level for the error bars");
   DefineSketchFlags(flags);
   if (!flags.Parse(argc, argv)) return 1;
@@ -569,22 +482,26 @@ int CmdStream(int argc, char** argv) {
     controller.emplace(copts);  // validates the knobs, throws on nonsense
   }
 
-  if (flags.GetInt("shards") > 0) {
-    return RunShardedStream(flags, values, params,
-                            controller ? &*controller : nullptr);
+  ShardEngineOptions eopts;
+  eopts.shards =
+      static_cast<size_t>(std::max<int64_t>(1, flags.GetInt("shards")));
+  eopts.shed_p = shed_p;
+  eopts.seed = static_cast<uint64_t>(flags.GetInt("shed-seed"));
+  if (adaptive) eopts.controller = &*controller;
+  eopts.max_tuples = static_cast<uint64_t>(flags.GetInt("max-tuples"));
+  eopts.stall_retries = static_cast<uint64_t>(flags.GetInt("stall-retries"));
+
+  std::optional<FileCheckpointSink> checkpoint_sink;
+  const std::string checkpoint_out = flags.GetString("checkpoint-out");
+  const uint64_t checkpoint_every =
+      static_cast<uint64_t>(flags.GetInt("checkpoint-every"));
+  if (checkpoint_every > 0 && !checkpoint_out.empty()) {
+    checkpoint_sink.emplace(checkpoint_out);
+    eopts.checkpoint_sink = &*checkpoint_sink;
+    eopts.checkpoint_every = checkpoint_every;
   }
 
-  // Resume: restore the sketch from the checkpoint blob; shed/controller
-  // states are restored below, after the source exists to fast-forward.
-  const std::string resume_path = flags.GetString("resume");
-  PipelineCheckpoint cp;
-  const bool resuming = !resume_path.empty();
-  if (resuming) cp = DeserializeCheckpoint(ReadBinaryFile(resume_path));
-  FagmsSketch sketch = resuming && !cp.sketch.empty()
-                           ? DeserializeFagms(cp.sketch)
-                           : FagmsSketch(params);
-  SinkOperator sink = MakeSketchSink(sketch);
-  ShedOperator shed(shed_p, flags.GetInt("shed-seed"), &sink);
+  ShardEngine<FagmsSketch> engine(FagmsSketch(params), eopts);
 
   VectorSource vector_source(values);
   StreamSource* source = &vector_source;
@@ -597,46 +514,38 @@ int CmdStream(int argc, char** argv) {
     faulty.emplace(&vector_source, profile, fault_seed);
     source = &*faulty;
   }
-  if (resuming) {
-    RestorePipelineComponents(cp, *source, &shed,
-                              controller ? &*controller : nullptr);
+
+  // Resume: a checkpoint without a shard section (or for another stream)
+  // throws CheckpointError, which RunCli turns into a nonzero exit.
+  const std::string resume_path = flags.GetString("resume");
+  if (!resume_path.empty()) {
+    engine.Restore(DeserializeCheckpoint(ReadBinaryFile(resume_path)),
+                   *source);
   }
 
-  PipelineOptions opts;
-  opts.max_tuples = static_cast<uint64_t>(flags.GetInt("max-tuples"));
-  opts.initial_tuples = resuming ? cp.source_tuples : 0;
-  opts.stall_retries = static_cast<uint64_t>(flags.GetInt("stall-retries"));
-  opts.shed = &shed;  // also snapshotted by checkpoints in fixed-p mode
-  if (adaptive) opts.controller = &*controller;
-  const std::string checkpoint_out = flags.GetString("checkpoint-out");
-  const uint64_t checkpoint_every =
-      static_cast<uint64_t>(flags.GetInt("checkpoint-every"));
-  std::optional<FileCheckpointSink> checkpoint_sink;
-  SketchSnapshot<FagmsSketch> snapshot(sketch);
-  if (checkpoint_every > 0 && !checkpoint_out.empty()) {
-    checkpoint_sink.emplace(checkpoint_out);
-    opts.checkpoint_sink = &*checkpoint_sink;
-    opts.snapshot = &snapshot;
-    opts.checkpoint_every = checkpoint_every;
-  }
-
-  const PipelineStats stats = RunPipeline(*source, shed, opts);
+  const ShardEngineStats stats = engine.Run(*source);
 
   // Honest reporting for the adaptive run: correct at the realized rate
   // (Props 13/14) and widen the interval per Eq 26 evaluated there.
   const FrequencyVector f = FrequencyVector::FromStream(values);
   const JoinStatistics join_stats = ComputeJoinStatistics(f, f);
-  const double realized_p = shed.realized_rate();
+  const double realized_p =
+      engine.total_seen() > 0
+          ? static_cast<double>(engine.total_kept()) /
+                static_cast<double>(engine.total_seen())
+          : engine.p();
   const double estimate = RealizedSelfJoinEstimate(
-      sketch.EstimateSelfJoin(), realized_p, shed.forwarded());
+      engine.merged().EstimateSelfJoin(), realized_p, engine.total_kept());
   const ConfidenceInterval ci =
       RealizedSelfJoinInterval(estimate, join_stats, realized_p,
                                params.buckets, flags.GetDouble("level"));
 
+  std::printf("shards      %llu\n",
+              static_cast<unsigned long long>(eopts.shards));
   std::printf("tuples      %llu\n",
-              static_cast<unsigned long long>(shed.seen()));
+              static_cast<unsigned long long>(engine.total_seen()));
   std::printf("kept        %llu\n",
-              static_cast<unsigned long long>(shed.forwarded()));
+              static_cast<unsigned long long>(engine.total_kept()));
   std::printf("realized_p  %.17g\n", realized_p);
   std::printf("final_p     %.17g\n", stats.final_p);
   std::printf("windows     %llu\n",
