@@ -6,8 +6,11 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
+#include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "src/util/atomics_policy.h"
 #include "src/util/metrics.h"
@@ -23,12 +26,26 @@ double ToUnit(uint64_t mixed) {
   return static_cast<double>(mixed >> 11) * 0x1.0p-53;
 }
 
-// Process-wide installation point consulted by the ChaosRecv/ChaosSend
-// seams. A single relaxed load on the production path; installs happen
-// only in tests and CLI chaos modes, before traffic starts.
-StdAtomics::Atomic<ChaosInjector*>& Installed() {
-  static StdAtomics::Atomic<ChaosInjector*> installed{nullptr};
-  return installed;
+// Process-wide installation point consulted by the socket seams. With no
+// injector installed, a seam pays one load of `installed`; otherwise it
+// copies the owning pointer under the lock, so the injector outlives the
+// call even when it is uninstalled meanwhile.
+struct Installation {
+  StdAtomics::Atomic<bool> installed{false};
+  std::mutex mutex;
+  std::shared_ptr<ChaosInjector> injector;
+};
+
+Installation& Installed() {
+  static Installation installation;
+  return installation;
+}
+
+std::shared_ptr<ChaosInjector> CurrentInjector() {
+  Installation& slot = Installed();
+  if (!slot.installed.load(MemOrder::kAcquire)) return nullptr;
+  std::lock_guard<std::mutex> lock(slot.mutex);
+  return slot.injector;
 }
 
 }  // namespace
@@ -139,24 +156,28 @@ uint64_t ChaosInjector::injected() const {
   return injected_;
 }
 
-void InstallChaosInjector(ChaosInjector* injector) {
-  Installed().store(injector, MemOrder::kRelease);
+void InstallChaosInjector(std::shared_ptr<ChaosInjector> injector) {
+  Installation& slot = Installed();
+  std::lock_guard<std::mutex> lock(slot.mutex);
+  slot.installed.store(injector != nullptr, MemOrder::kRelease);
+  // The previous injector dies here unless a seam still holds it.
+  slot.injector = std::move(injector);
 }
 
 ssize_t ChaosRecv(int fd, void* buf, size_t n, int flags) {
-  ChaosInjector* injector = Installed().load(MemOrder::kAcquire);
+  const std::shared_ptr<ChaosInjector> injector = CurrentInjector();
   if (injector == nullptr) return ::recv(fd, buf, n, flags);
   return injector->Recv(fd, buf, n, flags);
 }
 
 ssize_t ChaosSend(int fd, const void* buf, size_t n, int flags) {
-  ChaosInjector* injector = Installed().load(MemOrder::kAcquire);
+  const std::shared_ptr<ChaosInjector> injector = CurrentInjector();
   if (injector == nullptr) return ::send(fd, buf, n, flags);
   return injector->Send(fd, buf, n, flags);
 }
 
 void ChaosOnClose(int fd) {
-  ChaosInjector* injector = Installed().load(MemOrder::kAcquire);
+  const std::shared_ptr<ChaosInjector> injector = CurrentInjector();
   if (injector != nullptr) injector->OnClose(fd);
 }
 

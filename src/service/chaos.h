@@ -6,7 +6,7 @@
 //
 // Mechanism: the server and client route every socket read/write through
 // ChaosRecv/ChaosSend below. With no injector installed (the production
-// default) these are the plain syscalls plus one relaxed pointer load.
+// default) these are the plain syscalls plus one atomic flag load.
 // Under test, ScopedChaosInjector installs a process-wide ChaosInjector
 // whose per-(fd, op) decisions are positional: each fd gets a serial in
 // first-use order and each of its operations an index, and the fault draw
@@ -25,6 +25,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 
@@ -92,33 +93,28 @@ class ChaosInjector {
   uint64_t injected_ = 0;
 };
 
-/// Installs `injector` process-wide (nullptr uninstalls). Not owned; the
-/// injector must outlive every socket operation that can observe it.
-void InstallChaosInjector(ChaosInjector* injector);
+/// Installs `injector` process-wide (nullptr uninstalls). Ownership is
+/// shared: every seam call holds its own reference for the duration of the
+/// call, so an injector uninstalled while a connection thread is still
+/// inside it lives until that call returns.
+void InstallChaosInjector(std::shared_ptr<ChaosInjector> injector);
 
-/// RAII install/uninstall for tests and the serve/loadgen tools. Either
-/// borrows an injector or owns one built from (profile, seed).
+/// RAII install/uninstall of an injector built from (profile, seed), for
+/// tests and the serve/loadgen tools.
 class ScopedChaosInjector {
  public:
-  explicit ScopedChaosInjector(ChaosInjector* injector) {
-    InstallChaosInjector(injector);
-  }
   ScopedChaosInjector(const ChaosProfile& profile, uint64_t seed)
-      : owned_(new ChaosInjector(profile, seed)) {
-    InstallChaosInjector(owned_);
+      : injector_(std::make_shared<ChaosInjector>(profile, seed)) {
+    InstallChaosInjector(injector_);
   }
-  ~ScopedChaosInjector() {
-    InstallChaosInjector(nullptr);
-    delete owned_;
-  }
+  ~ScopedChaosInjector() { InstallChaosInjector(nullptr); }
   ScopedChaosInjector(const ScopedChaosInjector&) = delete;
   ScopedChaosInjector& operator=(const ScopedChaosInjector&) = delete;
 
-  /// The owned injector (null when borrowing).
-  ChaosInjector* injector() const { return owned_; }
+  ChaosInjector* injector() const { return injector_.get(); }
 
  private:
-  ChaosInjector* owned_ = nullptr;
+  std::shared_ptr<ChaosInjector> injector_;
 };
 
 /// The socket seams the server and client call instead of ::recv/::send/

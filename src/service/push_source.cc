@@ -1,30 +1,46 @@
 #include "src/service/push_source.h"
 
 #include <algorithm>
+#include <cstring>
 #include <optional>
 
 #include "src/util/metrics.h"
 
 namespace sketchsample {
 
-PushSource::PushSource(size_t max_buffered)
-    : max_buffered_(max_buffered == 0 ? 1 : max_buffered) {}
+PushSource::PushSource(size_t capacity)
+    : capacity_(std::max<size_t>(capacity, 1)),
+      low_water_(capacity_ / 2),
+      ring_(std::make_unique_for_overwrite<uint64_t[]>(capacity_)) {}
 
 size_t PushSource::Push(const uint64_t* values, size_t n) {
   size_t accepted = 0;
   std::unique_lock<std::mutex> lock(mutex_);
-  while (accepted < n) {
-    not_full_.wait(lock, [this] {
-      return closed_ || queue_.size() < max_buffered_;
-    });
-    if (closed_) break;
-    const size_t room = max_buffered_ - queue_.size();
-    const size_t take = std::min(room, n - accepted);
-    queue_.insert(queue_.end(), values + accepted, values + accepted + take);
+  while (accepted < n && !closed_) {
+    if (size_ == capacity_) {
+      ++waiting_producers_;
+      not_full_.wait(lock, [this] { return closed_ || size_ < capacity_; });
+      --waiting_producers_;
+      continue;
+    }
+    const size_t take = std::min(capacity_ - size_, n - accepted);
+    const size_t tail =
+        head_ + size_ < capacity_ ? head_ + size_ : head_ + size_ - capacity_;
+    const size_t first = std::min(take, capacity_ - tail);
+    std::memcpy(ring_.get() + tail, values + accepted,
+                first * sizeof(uint64_t));
+    if (take > first) {
+      std::memcpy(ring_.get(), values + accepted + first,
+                  (take - first) * sizeof(uint64_t));
+    }
+    size_ += take;
+    pushed_ += take;
     accepted += take;
-    not_empty_.notify_all();
+    // Signalled before this producer can block on a full ring, so a waiting
+    // consumer always learns of the tuples that fill it.
+    if (waiting_consumers_ > 0) not_empty_.notify_all();
   }
-  pushed_ += accepted;
+  lock.unlock();
   SKETCHSAMPLE_METRIC_ADD("service.ingest.pushed", accepted);
   return accepted;
 }
@@ -54,11 +70,23 @@ std::optional<uint64_t> PushSource::Next() {
 
 size_t PushSource::NextChunk(uint64_t* out, size_t max_n) {
   std::unique_lock<std::mutex> lock(mutex_);
-  not_empty_.wait(lock, [this] { return closed_ || !queue_.empty(); });
-  const size_t n = std::min(max_n, queue_.size());
-  std::copy(queue_.begin(), queue_.begin() + static_cast<ptrdiff_t>(n), out);
-  queue_.erase(queue_.begin(), queue_.begin() + static_cast<ptrdiff_t>(n));
-  if (n > 0) not_full_.notify_all();
+  if (size_ == 0 && !closed_) {
+    ++waiting_consumers_;
+    not_empty_.wait(lock, [this] { return closed_ || size_ > 0; });
+    --waiting_consumers_;
+  }
+  const size_t n = std::min(max_n, size_);
+  if (n == 0) return 0;
+  const size_t first = std::min(n, capacity_ - head_);
+  std::memcpy(out, ring_.get() + head_, first * sizeof(uint64_t));
+  if (n > first) {
+    std::memcpy(out + first, ring_.get(), (n - first) * sizeof(uint64_t));
+  }
+  head_ = head_ + n < capacity_ ? head_ + n : head_ + n - capacity_;
+  size_ -= n;
+  // Every waiting producer is woken at once: several HTTP connection
+  // threads can block on one full ring, and each must see the room.
+  if (waiting_producers_ > 0 && size_ <= low_water_) not_full_.notify_all();
   return n;
 }
 

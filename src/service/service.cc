@@ -368,22 +368,25 @@ class SketchService::Publisher final : public ShardSnapshotHook<FagmsSketch> {
 
 SketchService::SketchService(const SketchServiceOptions& options)
     : options_(options),
-      proto_(options.sketch),
       registry_(options.max_readers == 0 ? 1 : options.max_readers),
       source_(options.push_buffer) {
   if (!(options_.default_level > 0.0 && options_.default_level < 1.0)) {
     throw std::invalid_argument("service default_level must be in (0, 1)");
   }
+  // The engine owns the only prototype (moved in), so construction builds
+  // three counter arrays: the engine's prototype and merged state, and the
+  // initial snapshot.
+  engine_ = std::make_unique<ShardEngine<FagmsSketch>>(
+      FagmsSketch(options_.sketch), options_.engine);
   if (!options_.join_sketch.empty()) {
     reference_.emplace(DeserializeFagms(options_.join_sketch));
-    if (!proto_.CompatibleWith(*reference_)) {
+    if (!engine_->merged().CompatibleWith(*reference_)) {
       throw std::invalid_argument(
           "join reference sketch incompatible with the service sketch "
           "configuration (shape/scheme/seed must match)");
     }
   }
   publisher_ = std::make_unique<Publisher>(&registry_);
-  engine_ = std::make_unique<ShardEngine<FagmsSketch>>(proto_, options_.engine);
   engine_->SetSnapshotHook(publisher_.get(), options_.snapshot_every);
   PublishEngineState();
 }
@@ -438,6 +441,11 @@ void SketchService::IngestMain() {
     SKETCHSAMPLE_METRIC_INC("service.ingest.errors");
   }
   ingest_done_.store(true, MemOrder::kRelease);
+  // The engine stopped (end of stream, max_tuples, stall death or an
+  // error). Until ingest closes, keep the source moving so that producers
+  // are acknowledged as before instead of blocking on a full buffer; the
+  // tuples are dropped, and answers stay stamped degraded (ingest_stalled).
+  DiscardTuples(source_, UINT64_MAX);
 }
 
 void SketchService::Stop() {
@@ -646,8 +654,8 @@ QueryFreshness SketchService::CurrentFreshness(
     const RequestContext& context) const {
   QueryFreshness fresh;
   fresh.pushed = pushed();
-  // Ingest stalled: the ingest thread died on an error, or exited (engine
-  // stop) while the source is still accepting tuples nobody will consume.
+  // Ingest stalled: the engine died on an error, or stopped while the
+  // source still accepts tuples, which the ingest thread now drops.
   fresh.ingest_stalled =
       !ingest_error().empty() || (ingest_done() && !source_.closed());
   fresh.admission_saturated = context.admission_saturated;

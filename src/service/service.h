@@ -128,8 +128,13 @@ struct SketchServiceOptions {
   /// RcuCell reader slots; must cover the HTTP server's max_connections
   /// plus any in-process readers.
   size_t max_readers = 128;
-  /// PushSource bound (tuples buffered before POST /ingest blocks).
-  size_t push_buffer = 1u << 20;
+  /// PushSource bound (tuples buffered before POST /ingest blocks). Under
+  /// saturating ingest the buffer stays full, so it sets how far answers
+  /// trail ingest: staleness <= push_buffer + engine.chunk_tuples +
+  /// snapshot_every tuples, about push_buffer ÷ ingest rate in time. The
+  /// default is the smallest size that cost no throughput in the service
+  /// benchmark (docs/SERVICE.md §5).
+  size_t push_buffer = size_t{1} << 16;
   /// Serialized reference FagmsSketch for /query/join (empty = endpoint
   /// answers 400). Must be compatible with `sketch`.
   std::vector<uint8_t> join_sketch;
@@ -142,8 +147,11 @@ struct SketchServiceOptions {
   /// fast-forwards past the checkpointed prefix.
   std::vector<uint8_t> resume;
   /// Degrade answers whose snapshot trails ingest by more than this many
-  /// tuples (0 = staleness alone never degrades). A sensible bound is a
-  /// small multiple of snapshot_every.
+  /// tuples (0 = staleness alone never degrades). While the engine runs
+  /// and publishes, staleness stays within push_buffer +
+  /// engine.chunk_tuples + snapshot_every even under saturating ingest; a
+  /// smaller lag also flags answers served under saturation
+  /// (docs/SERVICE.md §5).
   uint64_t freshness_lag = 0;
 };
 
@@ -164,7 +172,10 @@ class SketchService {
 
   /// Starts the ingest thread: restores from options.resume when set, then
   /// runs the engine over the push source until CloseIngest (or engine
-  /// max_tuples).
+  /// max_tuples). Once the engine stops, for whatever reason, the thread
+  /// sets ingest_done() and keeps draining the source, discarding what it
+  /// reads, until ingest closes: producers never block on a buffer nobody
+  /// consumes, and answers carry the degraded stamp meanwhile.
   void Start();
 
   /// Closes ingest, joins the ingest thread. Idempotent.
@@ -204,7 +215,6 @@ class SketchService {
   QueryFreshness CurrentFreshness(const RequestContext& context) const;
 
   SketchServiceOptions options_;
-  FagmsSketch proto_;
   std::optional<FagmsSketch> reference_;  // /query/join right-hand side
   RcuCell<ServiceSnapshot> registry_;
   PushSource source_;

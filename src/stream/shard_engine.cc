@@ -208,11 +208,11 @@ struct ShardEngine<SketchT>::Lane {
 };
 
 template <typename SketchT>
-ShardEngine<SketchT>::ShardEngine(const SketchT& prototype,
+ShardEngine<SketchT>::ShardEngine(SketchT prototype,
                                   const ShardEngineOptions& options)
     : options_(options),
-      proto_(prototype),
-      merged_(prototype),
+      proto_(std::move(prototype)),
+      merged_(proto_),
       p_(options.shed_p) {
   if (!(options_.shed_p >= 0.0 && options_.shed_p <= 1.0)) {
     throw std::invalid_argument("ShardEngine shed_p must be in [0, 1]");

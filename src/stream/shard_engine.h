@@ -191,7 +191,9 @@ class ShardEngine {
  public:
   /// `prototype` fixes the sketch configuration; every worker partial and
   /// the merged result are copies of it (sharing immutable ξ/hash state).
-  ShardEngine(const SketchT& prototype, const ShardEngineOptions& options);
+  /// Taken by value and moved in, so a caller passing a temporary builds
+  /// no extra copy.
+  ShardEngine(SketchT prototype, const ShardEngineOptions& options);
   ~ShardEngine();
 
   ShardEngine(const ShardEngine&) = delete;

@@ -16,6 +16,8 @@
 // reproduce bit-exactly; only the slow-loris tests use real time (the
 // attacker's pacing cannot be injected under the victim's syscalls).
 
+// lint:allow-file(raw-atomic-confined): a start flag releasing real closer
+// threads in the teardown-race test; harness-side only.
 #include "src/service/chaos.h"
 
 #include <arpa/inet.h>
@@ -24,10 +26,12 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <optional>
 #include <set>
 #include <stdexcept>
@@ -597,6 +601,54 @@ TEST(IngestDedupTest, RetriedIngestOverChaosTransportIsExactlyOnce) {
   EXPECT_EQ(live.service.pushed(),
             static_cast<uint64_t>(kChunks) * kTuplesPerChunk)
       << "retries must not double-ingest nor drop chunks";
+}
+
+// Teardown race: keep-alive connections send their last requests and close
+// on both ends (the client's Disconnect and the server's connection thread
+// each call ChaosOnClose) while the scope that installed the injector ends.
+// The installed injector is shared-owned, so a seam already inside it keeps
+// it alive past the uninstall; under ASan or TSan (this suite runs under
+// the `tsan` label) a deleted injector shows up here as a use-after-free or
+// a race.
+TEST(ChaosTeardownTest, UninstallWhileKeepAliveConnectionsCloseIsSafe) {
+  HttpServerOptions options;
+  LiveService live(options);
+  constexpr int kRounds = 25;
+  constexpr int kConnections = 8;
+  for (int round = 0; round < kRounds; ++round) {
+    ChaosProfile profile;
+    profile.partial_read_prob = 0.2;
+    profile.partial_write_prob = 0.2;
+    std::optional<ScopedChaosInjector> chaos;
+    chaos.emplace(profile, kChaosSeed + static_cast<uint64_t>(round));
+    std::vector<std::unique_ptr<HttpClient>> clients;
+    for (int c = 0; c < kConnections; ++c) {
+      clients.push_back(std::make_unique<HttpClient>("127.0.0.1", live.port()));
+      const HttpClient::Response health = clients.back()->Get("/healthz");
+      ASSERT_TRUE(health.ok) << "round " << round << ": " << health.error;
+      ASSERT_EQ(health.status, 200);
+    }
+    std::atomic<bool> go{false};
+    std::vector<std::thread> closers;
+    for (std::unique_ptr<HttpClient>& client : clients) {
+      closers.emplace_back([&go, &client] {
+        while (!go.load()) std::this_thread::yield();
+        for (int i = 0; i < 3; ++i) {
+          const HttpClient::Response health = client->Get("/healthz");
+          EXPECT_TRUE(health.ok) << health.error;
+        }
+        client.reset();
+      });
+    }
+    go.store(true);
+    std::this_thread::sleep_for(std::chrono::microseconds(50 * (round % 4)));
+    chaos.reset();  // uninstall while requests and closes are in flight
+    for (std::thread& t : closers) t.join();
+  }
+  HttpClient client("127.0.0.1", live.port());
+  const HttpClient::Response health = client.Get("/healthz");
+  ASSERT_TRUE(health.ok) << health.error;
+  EXPECT_EQ(health.status, 200);
 }
 
 }  // namespace

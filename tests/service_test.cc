@@ -14,7 +14,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <future>
 #include <optional>
 #include <string>
 #include <thread>
@@ -444,6 +446,84 @@ TEST(ServiceResumeTest, ResumedServiceMatchesUninterruptedRun) {
   const SubpopPredicate pred = ParseSubpopFilter("mod:7-3");
   EXPECT_EQ(SubpopResponseJson(ref_view, pred, 0.95).Dump(),
             SubpopResponseJson(res_view, pred, 0.95).Dump());
+}
+
+// An engine that stops early (max_tuples here; an engine error or stall
+// death ends the same way) must not leave producers blocked on a full push
+// buffer: the ingest thread keeps draining, and discarding, until ingest
+// closes. Producers are acknowledged in full, and answers keep the
+// ingest_stalled degraded stamp.
+TEST(ServiceIngestTest, ProducersNeverBlockAfterTheEngineStops) {
+  SketchServiceOptions options = SmallOptions();
+  options.engine.max_tuples = 1000;
+  SketchService service(options);
+  Router router;
+  service.Register(router);
+  service.Start();
+
+  const std::vector<uint64_t> stream = MakeStream(size_t{1} << 21, 29, 1000);
+  std::future<size_t> feeder = std::async(std::launch::async, [&] {
+    size_t accepted = 0;
+    for (size_t i = 0; i < stream.size(); i += 4096) {
+      const size_t n = std::min<size_t>(4096, stream.size() - i);
+      accepted += service.Push(stream.data() + i, n);
+    }
+    return accepted;
+  });
+  if (feeder.wait_for(std::chrono::seconds(30)) !=
+      std::future_status::ready) {
+    service.CloseIngest();  // frees the blocked feeder
+    feeder.wait();
+    FAIL() << "a producer stayed blocked after the engine stopped";
+  }
+  EXPECT_EQ(feeder.get(), stream.size());
+  EXPECT_EQ(service.pushed(), stream.size());
+  EXPECT_TRUE(service.ingest_done());
+
+  RequestContext context;
+  const HttpResponse response =
+      router.Dispatch(Get("/query/selfjoin"), context);
+  ASSERT_EQ(response.status, 200);
+  const std::optional<JsonValue> body = JsonValue::Parse(response.body);
+  ASSERT_TRUE(body.has_value());
+  EXPECT_EQ(body->GetNumber("position"), 1000.0);
+  EXPECT_TRUE(body->Get("degraded")->AsBool())
+      << "answers after the engine stopped must carry the degraded stamp";
+  service.Stop();
+  EXPECT_EQ(service.ingest_error(), "");
+}
+
+// Freshness gate, in tuples so that it holds on any host. The router pulls
+// at most one chunk at a time and clamps each pull to the next publish
+// boundary, so once a Push returns, its newest tuple is at most one full
+// push buffer (still queued), one pulled chunk (being routed) and one
+// publish interval (routed since the latest snapshot) ahead of the
+// published snapshot. With the default options the bound is a literal: a
+// larger default push buffer puts every answer further behind ingest.
+TEST(ServiceFreshnessTest, DefaultOptionsBoundSnapshotStalenessInTuples) {
+  const SketchServiceOptions options;
+  const uint64_t bound = options.push_buffer + options.engine.chunk_tuples +
+                         options.snapshot_every;
+  constexpr uint64_t kDefaultBound = (uint64_t{1} << 16) + 1024 + 8192;
+  SketchService service(options);
+  service.Start();
+
+  const std::vector<uint64_t> stream = MakeStream(size_t{1} << 21, 37, 100000);
+  for (size_t i = 0; i < stream.size(); i += 4096) {
+    const size_t n = std::min<size_t>(4096, stream.size() - i);
+    ASSERT_EQ(service.Push(stream.data() + i, n), n);
+    const uint64_t pushed = service.pushed();
+    auto guard = service.registry().Read(0);
+    ASSERT_TRUE(guard);
+    ASSERT_LE(guard->position, pushed);
+    const uint64_t staleness = pushed - guard->position;
+    ASSERT_LE(staleness, bound) << "after pushing " << pushed << " tuples";
+    ASSERT_LE(staleness, kDefaultBound) << "after pushing " << pushed
+                                        << " tuples";
+  }
+  service.CloseIngest();
+  while (!service.ingest_done()) std::this_thread::yield();
+  ASSERT_EQ(service.ingest_error(), "");
 }
 
 TEST(ServiceStatsTest, StatsTrackIngestAndQueryCounters) {
