@@ -15,26 +15,12 @@ namespace sketchsample {
 
 namespace {
 
-// Four moments, resolved: exact when the operator supplied them, otherwise
-// a plug-in extrapolation from what the service can observe.
-struct Moments4 {
-  double m1 = 0, m2 = 0, m3 = 0, m4 = 0;
-  bool exact = false;
-};
-
-// Plug-in f-moments at query time: m1 = position (the pre-shed count is
-// known exactly — every tuple passes the router), m2 = the corrected
-// self-join estimate clamped to >= m1 (F2 >= F1 holds for any integer
-// frequency vector), and m3/m4 by the power-mean extrapolation that takes
-// the Cauchy–Schwarz lower bounds F3 >= F2²/F1 and F4 >= F3²/F2 with
-// equality. Exactly right for uniform frequencies, a documented
-// approximation otherwise (docs/SERVICE.md#confidence-intervals).
-Moments4 ResolveMoments(const std::optional<StreamMoments>& exact,
+ResolvedMoments ResolveMoments(const std::optional<StreamMoments>& exact,
                         double count, double square_estimate) {
   if (exact.has_value()) {
     return {exact->m1, exact->m2, exact->m3, exact->m4, true};
   }
-  Moments4 m;
+  ResolvedMoments m;
   m.m1 = std::max(count, 0.0);
   if (m.m1 <= 0.0) return m;
   m.m2 = std::max(square_estimate, m.m1);
@@ -91,7 +77,7 @@ JsonValue SelfJoinResponseJson(const ServiceSnapshot& snapshot,
   const double p = snapshot.realized_p();
   const double estimate =
       p > 0.0 ? RealizedSelfJoinEstimate(raw, p, snapshot.kept) : 0.0;
-  const Moments4 f = ResolveMoments(
+  const ResolvedMoments f = ResolveMoments(
       moments_f, static_cast<double>(snapshot.position), estimate);
   JoinStatistics stats;
   stats.f1 = f.m1;
@@ -112,11 +98,36 @@ JsonValue SelfJoinResponseJson(const ServiceSnapshot& snapshot,
   return body;
 }
 
+ResolvedMoments ResolveJoinMoments(const FagmsSketch& reference,
+                                   const std::optional<StreamMoments>& exact) {
+  if (exact.has_value()) {
+    return {exact->m1, exact->m2, exact->m3, exact->m4, true};
+  }
+  // Only g2 is observable from the reference sketch. g1 = sqrt(g2) is its
+  // Cauchy–Schwarz lower bound; higher moments extrapolate as for f.
+  ResolvedMoments g;
+  g.m2 = std::max(reference.EstimateSelfJoin(), 0.0);
+  g.m1 = std::sqrt(g.m2);
+  g.m3 = g.m1 > 0.0 ? g.m2 * g.m2 / g.m1 : 0.0;
+  g.m4 = g.m2 > 0.0 ? g.m3 * g.m3 / g.m2 : 0.0;
+  return g;
+}
+
 JsonValue JoinResponseJson(const ServiceSnapshot& snapshot,
                            const FagmsSketch& reference,
                            const std::optional<StreamMoments>& moments_f,
                            const std::optional<StreamMoments>& moments_g,
                            double level, const QueryFreshness& fresh) {
+  return JoinResponseJson(snapshot, reference, moments_f,
+                          ResolveJoinMoments(reference, moments_g), level,
+                          fresh);
+}
+
+JsonValue JoinResponseJson(const ServiceSnapshot& snapshot,
+                           const FagmsSketch& reference,
+                           const std::optional<StreamMoments>& moments_f,
+                           const ResolvedMoments& g, double level,
+                           const QueryFreshness& fresh) {
   const double raw = snapshot.sketch.EstimateJoin(reference);
   const double p = snapshot.realized_p();
   // The reference sketch summarizes an unsampled relation: q̂ = 1.
@@ -124,20 +135,8 @@ JsonValue JoinResponseJson(const ServiceSnapshot& snapshot,
   const double self_raw = snapshot.sketch.EstimateSelfJoin();
   const double f2_estimate =
       p > 0.0 ? RealizedSelfJoinEstimate(self_raw, p, snapshot.kept) : 0.0;
-  const Moments4 f = ResolveMoments(
+  const ResolvedMoments f = ResolveMoments(
       moments_f, static_cast<double>(snapshot.position), f2_estimate);
-  // g-side plug-in: only g2 is observable from the reference sketch. g1 =
-  // sqrt(g2) is its Cauchy–Schwarz lower bound; higher moments extrapolate
-  // as for f.
-  Moments4 g;
-  if (moments_g.has_value()) {
-    g = {moments_g->m1, moments_g->m2, moments_g->m3, moments_g->m4, true};
-  } else {
-    g.m2 = std::max(reference.EstimateSelfJoin(), 0.0);
-    g.m1 = std::sqrt(g.m2);
-    g.m3 = g.m1 > 0.0 ? g.m2 * g.m2 / g.m1 : 0.0;
-    g.m4 = g.m2 > 0.0 ? g.m3 * g.m3 / g.m2 : 0.0;
-  }
   JoinStatistics stats;
   stats.f1 = f.m1;
   stats.f2 = f.m2;
@@ -180,7 +179,7 @@ JsonValue PointResponseJson(const ServiceSnapshot& snapshot, uint64_t key,
   const double self_raw = snapshot.sketch.EstimateSelfJoin();
   const double f2_estimate =
       p > 0.0 ? RealizedSelfJoinEstimate(self_raw, p, snapshot.kept) : 0.0;
-  const Moments4 f = ResolveMoments(
+  const ResolvedMoments f = ResolveMoments(
       moments_f, static_cast<double>(snapshot.position), f2_estimate);
   // A point query is a size-of-join against the singleton relation {key}:
   // g1 = g2 = g3 = g4 = 1 exactly (Prop 13 with q = 1).
@@ -353,12 +352,8 @@ class SketchService::Publisher final : public ShardSnapshotHook<FagmsSketch> {
  public:
   explicit Publisher(RcuCell<ServiceSnapshot>* registry)
       : registry_(registry) {}
-  void Publish(ShardEngineSnapshot<FagmsSketch> snapshot) override {
-    auto view = std::make_unique<ServiceSnapshot>(ServiceSnapshot{
-        std::move(snapshot.sketch), std::move(snapshot.distinct),
-        std::move(snapshot.quantile), std::move(snapshot.subpop),
-        snapshot.position, snapshot.kept, snapshot.sequence, snapshot.p});
-    registry_->Publish(std::move(view));
+  void Publish(ServiceSnapshot snapshot) override {
+    registry_->Publish(std::make_unique<ServiceSnapshot>(std::move(snapshot)));
     SKETCHSAMPLE_METRIC_INC("service.snapshots.published");
   }
 
@@ -385,6 +380,7 @@ SketchService::SketchService(const SketchServiceOptions& options)
           "join reference sketch incompatible with the service sketch "
           "configuration (shape/scheme/seed must match)");
     }
+    reference_moments_ = ResolveJoinMoments(*reference_, options_.moments_g);
   }
   publisher_ = std::make_unique<Publisher>(&registry_);
   engine_->SetSnapshotHook(publisher_.get(), options_.snapshot_every);
@@ -394,11 +390,7 @@ SketchService::SketchService(const SketchServiceOptions& options)
 SketchService::~SketchService() { Stop(); }
 
 void SketchService::PublishEngineState() {
-  auto view = std::make_unique<ServiceSnapshot>(ServiceSnapshot{
-      engine_->merged(), engine_->distinct(), engine_->quantile(),
-      engine_->subpop(), engine_->total_seen(), engine_->total_kept(), 0,
-      engine_->p()});
-  registry_.Publish(std::move(view));
+  registry_.Publish(std::make_unique<ServiceSnapshot>(engine_->Snapshot()));
 }
 
 void SketchService::Register(Router& router) {
@@ -736,7 +728,7 @@ HttpResponse SketchService::Handle(Endpoint endpoint,
       SKETCHSAMPLE_METRIC_INC("service.query.join");
       return JsonResponse(
           200, JoinResponseJson(*guard, *reference_, options_.moments_f,
-                                options_.moments_g, level, fresh));
+                                reference_moments_, level, fresh));
     }
     case Endpoint::kPoint: {
       const std::string* key_text = request.QueryParam("key");

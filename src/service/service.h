@@ -58,24 +58,19 @@ struct StreamMoments {
   double m4 = 0;
 };
 
-/// One immutable published view: everything a query needs, by value.
-struct ServiceSnapshot {
-  FagmsSketch sketch;
-  std::optional<KmvSketch> distinct;
-  std::optional<KllSketch> quantile;
-  std::optional<KeyedKmvSketch> subpop;
-  uint64_t position = 0;
-  uint64_t kept = 0;
-  uint64_t sequence = 0;
-  double p = 1.0;
-
-  /// Realized sampling rate p̂ over the covered prefix.
-  double realized_p() const {
-    return position > 0
-               ? static_cast<double>(kept) / static_cast<double>(position)
-               : p;
-  }
+/// Four moments resolved for an Eq 25/26 interval: exact when the operator
+/// supplied them, a plug-in extrapolation otherwise.
+struct ResolvedMoments {
+  double m1 = 0;
+  double m2 = 0;
+  double m3 = 0;
+  double m4 = 0;
+  bool exact = false;
 };
+
+/// One immutable published view: the engine's snapshot, by value, exactly
+/// as the engine cut it.
+using ServiceSnapshot = ShardEngineSnapshot<FagmsSketch>;
 
 /// Query-time freshness context for degraded-mode stamping. Every answer
 /// carries `staleness` (tuples ingested but not yet covered by the snapshot
@@ -216,6 +211,7 @@ class SketchService {
 
   SketchServiceOptions options_;
   std::optional<FagmsSketch> reference_;  // /query/join right-hand side
+  ResolvedMoments reference_moments_;     // its g-side moments
   RcuCell<ServiceSnapshot> registry_;
   PushSource source_;
   std::unique_ptr<Publisher> publisher_;
@@ -256,12 +252,24 @@ JsonValue SelfJoinResponseJson(const ServiceSnapshot& snapshot,
                                const std::optional<StreamMoments>& moments_f,
                                double level,
                                const QueryFreshness& fresh = QueryFreshness());
+/// `g` holds the reference's moments from ResolveJoinMoments.
+JsonValue JoinResponseJson(const ServiceSnapshot& snapshot,
+                           const FagmsSketch& reference,
+                           const std::optional<StreamMoments>& moments_f,
+                           const ResolvedMoments& g, double level,
+                           const QueryFreshness& fresh = QueryFreshness());
+/// The same answer for a one-off query: resolves `moments_g` first.
 JsonValue JoinResponseJson(const ServiceSnapshot& snapshot,
                            const FagmsSketch& reference,
                            const std::optional<StreamMoments>& moments_f,
                            const std::optional<StreamMoments>& moments_g,
                            double level,
                            const QueryFreshness& fresh = QueryFreshness());
+/// The g-side moments of a join reference: `exact` when supplied, else a
+/// plug-in from the reference's self-join estimate. That estimate scans
+/// the whole reference, so resolve once per reference, not per answer.
+ResolvedMoments ResolveJoinMoments(const FagmsSketch& reference,
+                                   const std::optional<StreamMoments>& exact);
 JsonValue PointResponseJson(const ServiceSnapshot& snapshot, uint64_t key,
                             const std::optional<StreamMoments>& moments_f,
                             double level,

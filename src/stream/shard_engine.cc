@@ -7,6 +7,8 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -32,51 +34,79 @@ struct Chunk {
   bool stop = false;   // shutdown sentinel: worker exits, buffer not recycled
 };
 
-// Applies a survivor batch to a sketch through its widest interface.
-template <typename SketchT>
-void UpdateInto(SketchT& sketch, const uint64_t* values, size_t n) {
-  if constexpr (requires { sketch.UpdateBatch(values, n); }) {
-    sketch.UpdateBatch(values, n);
-  } else {
-    for (size_t i = 0; i < n; ++i) sketch.Update(values[i]);
-  }
-}
-
-// Operator facade over a worker's partial sketch, so the fault-injection
-// wrapper (an Operator) can sit between the shed stage and the sketch.
+// A worker's feed into one partial sketch: an Operator, so the
+// fault-injection wrapper (also an Operator) can sit in front of it. One
+// virtual call per chunk; the per-tuple loop runs at the concrete type,
+// through the sketch's widest interface.
 template <typename SketchT>
 class SketchSinkOp final : public Operator {
  public:
   explicit SketchSinkOp(SketchT* sketch) : sketch_(sketch) {}
   void OnTuples(const uint64_t* values, size_t n) override {
-    UpdateInto(*sketch_, values, n);
+    if constexpr (requires { sketch_->UpdateBatch(values, n); }) {
+      sketch_->UpdateBatch(values, n);
+    } else {
+      for (size_t i = 0; i < n; ++i) sketch_->Update(values[i]);
+    }
   }
 
  private:
   SketchT* sketch_;
 };
 
-// Deserializes a shard partial as the engine's concrete sketch type
-// (overload set in place of a traits class).
-AgmsSketch DeserializePartial(const AgmsSketch&,
-                              const std::vector<uint8_t>& blob) {
-  return DeserializeAgms(blob);
+// Typed deserializer of each primary sketch type (overload set in place of
+// a traits class).
+auto Deserializer(const AgmsSketch&) { return &DeserializeAgms; }
+auto Deserializer(const FagmsSketch&) { return &DeserializeFagms; }
+auto Deserializer(const CountMinSketch&) { return &DeserializeCountMin; }
+auto Deserializer(const FastCountSketch&) { return &DeserializeFastCount; }
+auto Deserializer(const KmvSketch&) { return &DeserializeKmv; }
+
+// A companion sketch: (k, seed), engaged iff k > 0. The sketch validates k
+// itself; the derived seed makes it a pure function of (root seed, kept
+// prefix) like everything else.
+template <typename T>
+std::optional<T> Companion(size_t k, uint64_t seed) {
+  if (k == 0) return std::nullopt;
+  return std::optional<T>(std::in_place, k, seed);
 }
-FagmsSketch DeserializePartial(const FagmsSketch&,
-                               const std::vector<uint8_t>& blob) {
-  return DeserializeFagms(blob);
+
+// Calls f(element, index) for each element of a per-slot tuple, the index
+// as a std::integral_constant so the body reaches the same slot's entry in
+// another per-slot tuple (std::get<i>) at its concrete type.
+template <typename Tuple, typename F>
+void ForEachSlot(Tuple& tuple, F&& f) {
+  [&]<size_t... I>(std::index_sequence<I...>) {
+    (f(std::get<I>(tuple), std::integral_constant<size_t, I>{}), ...);
+  }(std::make_index_sequence<std::tuple_size_v<std::remove_const_t<Tuple>>>{});
 }
-CountMinSketch DeserializePartial(const CountMinSketch&,
-                                  const std::vector<uint8_t>& blob) {
-  return DeserializeCountMin(blob);
+
+CheckpointError MissingSection(const char* noun) {
+  return CheckpointError(std::string("checkpoint has no ") + noun +
+                         " section but the engine has " + noun +
+                         " enabled; resume would silently drop it");
 }
-FastCountSketch DeserializePartial(const FastCountSketch&,
-                                   const std::vector<uint8_t>& blob) {
-  return DeserializeFastCount(blob);
-}
-KmvSketch DeserializePartial(const KmvSketch&,
-                             const std::vector<uint8_t>& blob) {
-  return DeserializeKmv(blob);
+
+// Loads one checkpoint blob as T and checks it against the engine's
+// configuration (`like`); `noun` names the sketch in the error.
+template <typename T>
+T LoadBlob(const std::vector<uint8_t>& blob,
+           T (*deserialize)(const std::vector<uint8_t>&), const T& like,
+           const char* noun) {
+  T sketch = [&] {
+    try {
+      return deserialize(blob);
+    } catch (const std::invalid_argument& error) {
+      throw CheckpointError(std::string("checkpoint ") + noun +
+                            " blob invalid: " + error.what());
+    }
+  }();
+  if (!like.CompatibleWith(sketch)) {
+    throw CheckpointError(std::string("checkpoint ") + noun +
+                          " sketch incompatible with engine configuration "
+                          "(k, seed or shape mismatch)");
+  }
+  return sketch;
 }
 
 }  // namespace
@@ -98,14 +128,14 @@ uint64_t ShardSubpopSeed(uint64_t root_seed) {
 }
 
 // One worker lane. The router owns `routed` and only reads the worker-side
-// fields (`seen`, `kept`, `partial`) after a quiesce: it spins until
+// fields (`seen`, `kept`, `partials`) after a quiesce: it spins until
 // `processed` (release-incremented by the worker after each chunk) catches
 // up with `routed`, and that acquire/release pair publishes everything the
 // worker wrote while processing.
 template <typename SketchT>
 struct ShardEngine<SketchT>::Lane {
-  Lane(size_t ring_chunks, size_t chunk_tuples, const SketchT& proto)
-      : work(ring_chunks), recycle(ring_chunks), partial(proto) {
+  Lane(size_t ring_chunks, size_t chunk_tuples)
+      : work(ring_chunks), recycle(ring_chunks) {
     // Data buffers match the ring capacity exactly, so a push to either
     // ring always finds space: every buffer is in exactly one ring or in
     // one thread's hands. The stop sentinel gets its own slot-free buffer
@@ -144,25 +174,9 @@ struct ShardEngine<SketchT>::Lane {
                        chunk->values.data() + survivors);
         qruns.push_back(survivors);
       }
-      if (kmv.has_value()) {
-        // Distinct counting observes the sampled stream itself, before any
-        // fault-injection stage corrupts it — the count answers "how many
-        // distinct values survived the shed", not "what did the faulty sink
-        // see".
-        for (size_t i = 0; i < survivors; ++i) kmv->Update(chunk->values[i]);
-      }
-      if (subpop.has_value()) {
-        // Same pre-fault placement as the distinct counter: subpopulation
-        // weights describe the sampled stream.
-        for (size_t i = 0; i < survivors; ++i) {
-          subpop->Update(chunk->values[i]);
-        }
-      }
       if (survivors > 0) {
-        if (head != nullptr) {
-          head->OnTuples(chunk->values.data(), survivors);
-        } else {
-          UpdateInto(partial, chunk->values.data(), survivors);
+        for (Operator* feed : feeds) {
+          feed->OnTuples(chunk->values.data(), survivors);
         }
       }
       processed.fetch_add(1, MemOrder::kRelease);
@@ -175,12 +189,13 @@ struct ShardEngine<SketchT>::Lane {
   std::vector<std::unique_ptr<Chunk>> pool;
   Chunk* stop_chunk = nullptr;
 
-  SketchT partial;
-  // Auxiliary distinct partial (engaged iff options.distinct_k > 0); same
-  // ownership discipline as `partial`.
-  std::optional<KmvSketch> kmv;
-  // Keyed-KMV subpopulation partial (engaged iff options.subpop_k > 0).
-  std::optional<KeyedKmvSketch> subpop;
+  // One partial per slot, engaged iff the slot is (ShardEngine::slots_).
+  PerSlot<std::optional> partials;
+  // Where the survivors go, one entry per enabled slot: the partial's
+  // SketchSinkOp, or the fault stage in front of it (`stages` owns both).
+  std::vector<Operator*> feeds;
+  std::vector<std::unique_ptr<Operator>> stages;
+  FaultInjectingOperator* faults = nullptr;  // this lane's, if any
   // Quantile support: kept values awaiting the router's fold into the
   // engine-level KLL, and their survivor count per chunk, both in the order
   // this lane received the chunks. Worker-owned between quiesces; the
@@ -191,18 +206,13 @@ struct ShardEngine<SketchT>::Lane {
   uint64_t seen = 0;  // worker-owned; router reads only after a quiesce
   uint64_t kept = 0;
   // Chunks fully processed; the release increment publishes seen/kept/
-  // partial to a router that acquires it.
+  // partials to a router that acquires it.
   alignas(64) StdAtomics::Atomic<uint64_t> processed{0};
   uint64_t routed = 0;  // router-owned
   // Router-owned stash for a buffer popped from `recycle` but not routed
   // (empty NextChunk). The router is the recycle ring's consumer; pushing
   // the buffer back would make it a second producer and race the worker.
   Chunk* spare = nullptr;
-
-  // Optional push-path fault stage: head -> faults -> sink -> partial.
-  std::unique_ptr<Operator> sink;
-  std::unique_ptr<FaultInjectingOperator> faults;
-  Operator* head = nullptr;
 
   std::thread thread;
 };
@@ -211,9 +221,35 @@ template <typename SketchT>
 ShardEngine<SketchT>::ShardEngine(SketchT prototype,
                                   const ShardEngineOptions& options)
     : options_(options),
-      proto_(std::move(prototype)),
-      merged_(proto_),
-      p_(options.shed_p) {
+      // The slot table: everything the engine does with a lane-partial
+      // sketch follows from these rows. Companions see the shed survivors
+      // before the fault stage (they describe the sampled stream, not what
+      // a faulty sink saw); the primary sees them after it.
+      slots_{Slot<SketchT>{.noun = "sketch",
+                           .section = &PipelineCheckpoint::has_shards,
+                           .blob = &ShardCheckpointState::sketch,
+                           .deserialize = Deserializer(prototype),
+                           .after_faults = true,
+                           .proto = std::move(prototype)},
+             Slot<KmvSketch>{
+                 .noun = "distinct",
+                 .section = &PipelineCheckpoint::has_shard_distinct,
+                 .blob = &ShardCheckpointState::distinct,
+                 .deserialize = &DeserializeKmv,
+                 .after_faults = false,
+                 .proto = Companion<KmvSketch>(
+                     options.distinct_k, ShardDistinctSeed(options.seed))},
+             Slot<KeyedKmvSketch>{
+                 .noun = "subpop",
+                 .section = &PipelineCheckpoint::has_shard_subpop,
+                 .blob = &ShardCheckpointState::subpop,
+                 .deserialize = &DeserializeKmvKeyed,
+                 .after_faults = false,
+                 .proto = Companion<KeyedKmvSketch>(
+                     options.subpop_k, ShardSubpopSeed(options.seed))}},
+      p_(options.shed_p),
+      quantile_(Companion<KllSketch>(options.quantile_k,
+                                     ShardQuantileSeed(options.seed))) {
   if (!(options_.shed_p >= 0.0 && options_.shed_p <= 1.0)) {
     throw std::invalid_argument("ShardEngine shed_p must be in [0, 1]");
   }
@@ -223,20 +259,8 @@ ShardEngine<SketchT>::ShardEngine(SketchT prototype,
   if (options_.controller != nullptr) {
     p_ = options_.controller->p();
   }
-  if (options_.distinct_k > 0) {
-    // KmvSketch validates k >= 2 itself; the derived seed makes the counter
-    // a pure function of (root seed, kept prefix) like everything else.
-    distinct_.emplace(options_.distinct_k, ShardDistinctSeed(options_.seed));
-  }
-  if (options_.quantile_k > 0) {
-    if (options_.quantile_fold_every == 0) {
-      options_.quantile_fold_every = 65536;
-    }
-    quantile_.emplace(options_.quantile_k, ShardQuantileSeed(options_.seed));
-  }
-  if (options_.subpop_k > 0) {
-    subpop_.emplace(options_.subpop_k, ShardSubpopSeed(options_.seed));
-  }
+  if (options_.quantile_fold_every == 0) options_.quantile_fold_every = 65536;
+  ForEachSlot(slots_, [](auto& slot, auto) { slot.base = slot.proto; });
 }
 
 template <typename SketchT>
@@ -256,126 +280,53 @@ void ShardEngine<SketchT>::Restore(const PipelineCheckpoint& cp,
     throw CheckpointError("checkpoint has no shard section");
   }
   SKETCHSAMPLE_METRIC_INC("engine.shard.restores");
-  // Validate everything into locals first; engine state mutates only after
-  // the whole checkpoint checks out (a bad blob must not half-restore).
-  SketchT base = proto_;
-  std::optional<KmvSketch> distinct_base;
-  if (distinct_.has_value()) {
-    if (!cp.has_shard_distinct) {
-      throw CheckpointError(
-          "checkpoint has no distinct section but the engine has distinct "
-          "counting enabled; resume would silently drop the counter");
+  // Load and check everything into fresh bases first; engine state changes
+  // only after the whole checkpoint checks out (a bad blob must not
+  // half-restore).
+  PerSlot<std::optional> bases;
+  ForEachSlot(slots_, [&](const auto& slot, auto i) {
+    if (!slot.proto.has_value()) return;
+    if (!(cp.*slot.section)) throw MissingSection(slot.noun);
+    auto& base = std::get<i>(bases);
+    base = slot.proto;
+    for (const ShardCheckpointState& shard : cp.shards) {
+      const std::vector<uint8_t>& blob = shard.*slot.blob;
+      if (blob.empty()) continue;
+      base->Merge(LoadBlob(blob, slot.deserialize, *slot.proto, slot.noun));
     }
-    distinct_base.emplace(options_.distinct_k,
-                          ShardDistinctSeed(options_.seed));
-  }
-  std::optional<KllSketch> quantile_base;
+  });
+  std::optional<KllSketch> quantile;
   if (quantile_.has_value()) {
     if (!cp.has_quantile_subpop || cp.quantile.empty()) {
-      throw CheckpointError(
-          "checkpoint has no quantile sketch but the engine has quantile "
-          "queries enabled; resume would silently drop rank state");
+      throw MissingSection("quantile");
     }
-    quantile_base = [&] {
-      try {
-        return DeserializeKll(cp.quantile);
-      } catch (const std::invalid_argument& error) {
-        throw CheckpointError(
-            std::string("checkpoint quantile sketch invalid: ") +
-            error.what());
-      }
-    }();
-    if (!quantile_->CompatibleWith(*quantile_base)) {
-      throw CheckpointError(
-          "checkpoint quantile sketch incompatible with engine "
-          "configuration (quantile_k/seed mismatch)");
-    }
-  }
-  std::optional<KeyedKmvSketch> subpop_base;
-  if (subpop_.has_value()) {
-    if (!cp.has_shard_subpop) {
-      throw CheckpointError(
-          "checkpoint has no subpop section but the engine has "
-          "subpopulation queries enabled; resume would silently drop the "
-          "sketch");
-    }
-    subpop_base.emplace(options_.subpop_k, ShardSubpopSeed(options_.seed));
+    quantile = LoadBlob(cp.quantile, &DeserializeKll, *quantile_, "quantile");
   }
   uint64_t seen = 0;
   uint64_t kept = 0;
   for (const ShardCheckpointState& shard : cp.shards) {
     seen += shard.seen;
     kept += shard.kept;
-    if (distinct_base.has_value() && !shard.distinct.empty()) {
-      KmvSketch partial = [&] {
-        try {
-          return DeserializeKmv(shard.distinct);
-        } catch (const std::invalid_argument& error) {
-          throw CheckpointError(
-              std::string("checkpoint shard distinct blob invalid: ") +
-              error.what());
-        }
-      }();
-      if (!distinct_base->CompatibleWith(partial)) {
-        throw CheckpointError(
-            "checkpoint shard distinct counter incompatible with engine "
-            "configuration (distinct_k/seed mismatch)");
-      }
-      distinct_base->Merge(partial);
-    }
-    if (subpop_base.has_value() && !shard.subpop.empty()) {
-      KeyedKmvSketch partial = [&] {
-        try {
-          return DeserializeKmvKeyed(shard.subpop);
-        } catch (const std::invalid_argument& error) {
-          throw CheckpointError(
-              std::string("checkpoint shard subpop blob invalid: ") +
-              error.what());
-        }
-      }();
-      if (!subpop_base->CompatibleWith(partial)) {
-        throw CheckpointError(
-            "checkpoint shard subpop sketch incompatible with engine "
-            "configuration (subpop_k/seed mismatch)");
-      }
-      subpop_base->Merge(partial);
-    }
-    if (shard.sketch.empty()) continue;
-    SketchT partial = [&] {
-      try {
-        return DeserializePartial(proto_, shard.sketch);
-      } catch (const std::invalid_argument& error) {
-        throw CheckpointError(std::string("checkpoint shard sketch invalid: ") +
-                              error.what());
-      }
-    }();
-    if (!base.CompatibleWith(partial)) {
-      throw CheckpointError(
-          "checkpoint shard sketch incompatible with engine prototype");
-    }
-    base.Merge(partial);
   }
   if (seen != cp.source_tuples) {
     throw CheckpointError(
         "checkpoint shard counts do not cover the source position");
   }
-  merged_ = std::move(base);
-  if (distinct_base.has_value()) distinct_ = std::move(distinct_base);
-  if (quantile_base.has_value()) quantile_ = std::move(quantile_base);
-  if (subpop_base.has_value()) subpop_ = std::move(subpop_base);
+  if (DiscardTuples(source, cp.source_tuples) != cp.source_tuples) {
+    throw CheckpointError(
+        "source ended before the checkpointed position; it is not the "
+        "stream this checkpoint was taken against");
+  }
+  ForEachSlot(slots_, [&](auto& slot, auto i) {
+    slot.base = std::move(std::get<i>(bases));
+  });
+  quantile_ = std::move(quantile);
   total_seen_ = seen;
   total_kept_ = kept;
   p_ = cp.shard_p;
   if (cp.has_controller && options_.controller != nullptr) {
     options_.controller->RestoreState(cp.controller);
     p_ = options_.controller->p();
-  }
-  initial_tuples_ = cp.source_tuples;
-  const uint64_t discarded = DiscardTuples(source, cp.source_tuples);
-  if (discarded != cp.source_tuples) {
-    throw CheckpointError(
-        "source ended before the checkpointed position; it is not the "
-        "stream this checkpoint was taken against");
   }
 }
 
@@ -387,49 +338,36 @@ void ShardEngine<SketchT>::WriteCheckpoint(
   cp.source_tuples = total;
   cp.has_shards = true;
   cp.shard_p = p_;
-  cp.has_shard_distinct = distinct_.has_value();
-  cp.has_quantile_subpop = quantile_.has_value() || subpop_.has_value();
+  cp.shards.resize(lanes.size());
+  for (size_t s = 0; s < lanes.size(); ++s) {
+    cp.shards[s].seen = lanes[s]->seen;
+    cp.shards[s].kept = lanes[s]->kept;
+  }
+  // The restored base (prior runs / prior shard layouts, not yet merged
+  // with any lane) rides in shard 0's entry so a second kill-and-resume
+  // still covers the whole prefix.
+  cp.shards[0].seen += total_seen_;
+  cp.shards[0].kept += total_kept_;
+  ForEachSlot(slots_, [&](const auto& slot, auto i) {
+    if (!slot.base.has_value()) return;
+    cp.*slot.section = true;
+    for (size_t s = 0; s < lanes.size(); ++s) {
+      const auto& partial = *std::get<i>(lanes[s]->partials);
+      if (s == 0) {
+        auto with_base = *slot.base;
+        with_base.Merge(partial);
+        cp.shards[s].*slot.blob = SerializeSketch(with_base);
+      } else {
+        cp.shards[s].*slot.blob = SerializeSketch(partial);
+      }
+    }
+  });
+  // Flag bit 4 carries both the KLL blob and the per-shard subpop blobs.
+  cp.has_quantile_subpop = quantile_.has_value() || cp.has_shard_subpop;
   if (quantile_.has_value()) {
     // The engine-level KLL already covers the whole kept prefix — the Run
     // loop folds every lane's pending runs before checkpointing.
     cp.quantile = SerializeSketch(*quantile_);
-  }
-  cp.has_shard_subpop = subpop_.has_value();
-  cp.shards.reserve(lanes.size());
-  for (size_t s = 0; s < lanes.size(); ++s) {
-    const Lane& lane = *lanes[s];
-    ShardCheckpointState shard;
-    shard.seen = lane.seen;
-    shard.kept = lane.kept;
-    if (s == 0) {
-      // The restored base (prior runs / prior shard layouts, already merged
-      // into merged_) rides in shard 0's entry so a second kill-and-resume
-      // still covers the whole prefix.
-      shard.seen += total_seen_;
-      shard.kept += total_kept_;
-      SketchT with_base = merged_;
-      with_base.Merge(lane.partial);
-      shard.sketch = SerializeSketch(with_base);
-      if (distinct_.has_value()) {
-        KmvSketch kmv_base = *distinct_;
-        if (lane.kmv.has_value()) kmv_base.Merge(*lane.kmv);
-        shard.distinct = SerializeSketch(kmv_base);
-      }
-      if (subpop_.has_value()) {
-        KeyedKmvSketch subpop_base = *subpop_;
-        if (lane.subpop.has_value()) subpop_base.Merge(*lane.subpop);
-        shard.subpop = SerializeSketch(subpop_base);
-      }
-    } else {
-      shard.sketch = SerializeSketch(lane.partial);
-      if (lane.kmv.has_value()) {
-        shard.distinct = SerializeSketch(*lane.kmv);
-      }
-      if (lane.subpop.has_value()) {
-        shard.subpop = SerializeSketch(*lane.subpop);
-      }
-    }
-    cp.shards.push_back(std::move(shard));
   }
   if (options_.controller != nullptr) {
     cp.has_controller = true;
@@ -441,42 +379,40 @@ void ShardEngine<SketchT>::WriteCheckpoint(
 }
 
 template <typename SketchT>
+ShardEngineSnapshot<SketchT> ShardEngine<SketchT>::Cut(
+    const std::vector<std::unique_ptr<Lane>>& lanes,
+    uint64_t position) const {
+  // Called with every lane quiesced (or joined), so lane partials and
+  // counts are safe to read. The snapshot is fully materialized by value —
+  // copying the bases here is what lets readers drop every lock.
+  PerSlot<std::optional> merged = std::apply(
+      [](const auto&... slot) { return std::tuple{slot.base...}; }, slots_);
+  ForEachSlot(merged, [&](auto& sketch, auto i) {
+    if (!sketch.has_value()) return;
+    for (const auto& lane : lanes) sketch->Merge(*std::get<i>(lane->partials));
+  });
+  uint64_t kept = total_kept_;
+  for (const auto& lane : lanes) kept += lane->kept;
+  auto& [sketch, distinct, subpop] = merged;
+  // The KLL is folded through FoldQuantile before every cut, so the copy
+  // already covers the kept prefix up to `position` in position order.
+  return {std::move(*sketch), std::move(distinct), quantile_, std::move(subpop),
+          position, kept, snapshot_sequence_, p_};
+}
+
+template <typename SketchT>
+ShardEngineSnapshot<SketchT> ShardEngine<SketchT>::Snapshot() const {
+  return Cut({}, total_seen_);
+}
+
+template <typename SketchT>
 void ShardEngine<SketchT>::PublishSnapshot(
     const std::vector<std::unique_ptr<Lane>>& lanes, uint64_t total,
     ShardEngineStats& stats) {
-  // Called with every lane quiesced (or joined), so lane partials and
-  // counts are safe to read. The snapshot is fully materialized by value —
-  // copying the merged sketch here is what lets readers drop every lock.
-  ShardEngineSnapshot<SketchT> snap{merged_, {}, {}, {}, 0, 0, 1.0, 0};
-  uint64_t kept = total_kept_;
-  for (const auto& lane : lanes) {
-    snap.sketch.Merge(lane->partial);
-    kept += lane->kept;
-  }
-  if (distinct_.has_value()) {
-    snap.distinct = *distinct_;
-    for (const auto& lane : lanes) {
-      if (lane->kmv.has_value()) snap.distinct->Merge(*lane->kmv);
-    }
-  }
-  if (quantile_.has_value()) {
-    // Folded through FoldQuantile before every publication, so the copy
-    // already covers the kept prefix up to `total` in position order.
-    snap.quantile = *quantile_;
-  }
-  if (subpop_.has_value()) {
-    snap.subpop = *subpop_;
-    for (const auto& lane : lanes) {
-      if (lane->subpop.has_value()) snap.subpop->Merge(*lane->subpop);
-    }
-  }
-  snap.position = total;
-  snap.kept = kept;
-  snap.p = p_;
-  snap.sequence = ++snapshot_sequence_;
+  ++snapshot_sequence_;
   ++stats.snapshots;
   SKETCHSAMPLE_METRIC_INC("engine.shard.snapshots");
-  snapshot_hook_->Publish(std::move(snap));
+  snapshot_hook_->Publish(Cut(lanes, total));
 }
 
 template <typename SketchT>
@@ -533,24 +469,25 @@ ShardEngineStats ShardEngine<SketchT>::Run(StreamSource& source) {
   std::vector<std::unique_ptr<Lane>> lanes;
   lanes.reserve(shards);
   for (size_t s = 0; s < shards; ++s) {
-    lanes.push_back(
-        std::make_unique<Lane>(options_.queue_chunks, chunk_size, proto_));
+    lanes.push_back(std::make_unique<Lane>(options_.queue_chunks, chunk_size));
     Lane& lane = *lanes.back();
-    if (distinct_.has_value()) {
-      lane.kmv.emplace(options_.distinct_k, ShardDistinctSeed(options_.seed));
-    }
-    if (subpop_.has_value()) {
-      lane.subpop.emplace(options_.subpop_k, ShardSubpopSeed(options_.seed));
-    }
     lane.collect_quantile = quantile_.has_value();
-    if (faulty) {
-      lane.sink = std::make_unique<SketchSinkOp<SketchT>>(&lane.partial);
-      lane.faults = std::make_unique<FaultInjectingOperator>(
-          lane.sink.get(), *options_.fault_profile,
-          MixSeed(options_.fault_seed, static_cast<uint64_t>(s)),
-          "shard" + std::to_string(s));
-      lane.head = lane.faults.get();
-    }
+    ForEachSlot(slots_, [&](const auto& slot, auto i) {
+      auto& partial = std::get<i>(lane.partials);
+      partial = slot.proto;
+      if (!partial.has_value()) return;
+      using T = std::remove_cvref_t<decltype(*partial)>;
+      lane.stages.push_back(std::make_unique<SketchSinkOp<T>>(&*partial));
+      if (faulty && slot.after_faults) {
+        auto faults = std::make_unique<FaultInjectingOperator>(
+            lane.stages.back().get(), *options_.fault_profile,
+            MixSeed(options_.fault_seed, static_cast<uint64_t>(s)),
+            "shard" + std::to_string(s));
+        lane.faults = faults.get();
+        lane.stages.push_back(std::move(faults));
+      }
+      lane.feeds.push_back(lane.stages.back().get());
+    });
   }
   for (auto& lane : lanes) {
     Lane* raw = lane.get();
@@ -592,7 +529,7 @@ ShardEngineStats ShardEngine<SketchT>::Run(StreamSource& source) {
   // Absolute stream position; window/checkpoint boundaries are phase-locked
   // to it, so a resumed engine makes the same control decisions at the same
   // offsets as an uninterrupted one.
-  uint64_t total = initial_tuples_;
+  uint64_t total = total_seen_;
   uint64_t next_window = adaptive ? (total / window + 1) * window : UINT64_MAX;
   uint64_t next_checkpoint =
       checkpointing ? (total / options_.checkpoint_every + 1) *
@@ -617,7 +554,7 @@ ShardEngineStats ShardEngine<SketchT>::Run(StreamSource& source) {
   uint64_t window_seen_base = 0;
   uint64_t window_kept_base = 0;
   if (adaptive) {
-    if (initial_tuples_ > 0) {
+    if (total > 0) {
       window_seen_base = options_.controller->total_offered();
       window_kept_base = options_.controller->total_kept();
     } else {
@@ -767,28 +704,23 @@ ShardEngineStats ShardEngine<SketchT>::Run(StreamSource& source) {
     stats.shard_faults.push_back(
         lane->faults != nullptr ? lane->faults->faults_injected() : 0);
     run_kept += lane->kept;
-    merged_.Merge(lane->partial);
-    if (distinct_.has_value() && lane->kmv.has_value()) {
-      distinct_->Merge(*lane->kmv);
-    }
-    if (subpop_.has_value() && lane->subpop.has_value()) {
-      subpop_->Merge(*lane->subpop);
-    }
     ++stats.merges;
   }
+  ForEachSlot(slots_, [&](auto& slot, auto i) {
+    if (!slot.base.has_value()) return;
+    for (auto& lane : lanes) slot.base->Merge(*std::get<i>(lane->partials));
+  });
   stats.kept = run_kept;
   total_seen_ += stats.tuples;
   total_kept_ += run_kept;
-  initial_tuples_ = total;
   stats.final_p = p_;
   stats.seconds = timer.ElapsedSeconds();
 
   if (snapshot_hook_ != nullptr) {
-    // Final snapshot: everything is folded into merged_/distinct_ now, so
-    // publish from the engine state with no lanes to fold (also covers
+    // Final snapshot: everything is folded into the bases now, so publish
+    // the engine state with no lanes to fold (also covers
     // SetSnapshotHook(hook, 0) — publish-at-end-only).
-    const std::vector<std::unique_ptr<Lane>> no_lanes;
-    PublishSnapshot(no_lanes, total, stats);
+    PublishSnapshot({}, total, stats);
   }
 
   SKETCHSAMPLE_METRIC_ADD("engine.shard.tuples", stats.tuples);

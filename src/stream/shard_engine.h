@@ -44,6 +44,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <tuple>
 #include <vector>
 
 #include "src/stream/checkpoint.h"
@@ -131,19 +132,28 @@ uint64_t ShardSubpopSeed(uint64_t root_seed);
 
 /// One consistent engine snapshot, published at a quiesced chunk boundary:
 /// everything a query needs — the merged sketch over the kept prefix, the
-/// optional distinct counter, and the realized counts the Prop 13/14
-/// corrections scale by. Self-contained by value: readers on other threads
-/// must never chase pointers into the live engine.
+/// optional companions, and the realized counts the Prop 13/14 corrections
+/// scale by. Self-contained by value: readers on other threads must never
+/// chase pointers into the live engine. The service publishes it as is
+/// (ServiceSnapshot, src/service/service.h).
 template <typename SketchT>
 struct ShardEngineSnapshot {
-  SketchT sketch;                      ///< base + every lane partial, merged
-  std::optional<KmvSketch> distinct;   ///< set iff options.distinct_k > 0
-  std::optional<KllSketch> quantile;   ///< set iff options.quantile_k > 0
+  SketchT sketch;                        ///< base + every lane partial, merged
+  std::optional<KmvSketch> distinct;     ///< set iff options.distinct_k > 0
+  std::optional<KllSketch> quantile;     ///< set iff options.quantile_k > 0
   std::optional<KeyedKmvSketch> subpop;  ///< set iff options.subpop_k > 0
   uint64_t position = 0;  ///< absolute stream offset the snapshot covers
   uint64_t kept = 0;      ///< tuples surviving the shed up to `position`
+  /// 1-based publication counter (0: engine state before any publish).
+  uint64_t sequence = 0;
   double p = 1.0;         ///< shed rate in force when the snapshot was cut
-  uint64_t sequence = 0;  ///< 1-based publication counter
+
+  /// Realized sampling rate p̂ over the covered prefix.
+  double realized_p() const {
+    return position > 0
+               ? static_cast<double>(kept) / static_cast<double>(position)
+               : p;
+  }
 };
 
 /// Receives engine snapshots. Publish is called on the router thread (the
@@ -204,9 +214,10 @@ class ShardEngine {
   /// realized counts, restores the controller (when both the checkpoint
   /// and options carry one), and fast-forwards `source` past the
   /// checkpointed position. Throws CheckpointError when the checkpoint has
-  /// no shard section, holds an incompatible sketch, or the source ends
-  /// before the checkpointed position. The restored engine may run any
-  /// shard count — resume stays bit-exact.
+  /// no shard section, lacks a section an enabled sketch needs, holds an
+  /// incompatible or corrupt sketch, or the source ends before the
+  /// checkpointed position; the engine state is then left as it was. The
+  /// restored engine may run any shard count — resume stays bit-exact.
   void Restore(const PipelineCheckpoint& cp, StreamSource& source);
 
   /// Pumps `source` dry (or to max_tuples / stall death): routes chunks to
@@ -216,7 +227,7 @@ class ShardEngine {
 
   /// The merged sketch: restored base plus every partial folded in. Valid
   /// after Run (before the first Run: just the restored/prototype state).
-  const SketchT& merged() const { return merged_; }
+  const SketchT& merged() const { return *std::get<0>(slots_).base; }
 
   /// Current keep-probability of the positional shed stage.
   double p() const { return p_; }
@@ -227,7 +238,9 @@ class ShardEngine {
 
   /// The merged auxiliary distinct counter (set iff options.distinct_k > 0);
   /// same validity window as merged().
-  const std::optional<KmvSketch>& distinct() const { return distinct_; }
+  const std::optional<KmvSketch>& distinct() const {
+    return std::get<1>(slots_).base;
+  }
 
   /// The engine-level KLL quantile sketch (set iff options.quantile_k > 0),
   /// fed with the kept stream in position order; same validity window as
@@ -236,7 +249,14 @@ class ShardEngine {
 
   /// The merged keyed-KMV subpopulation sketch (set iff
   /// options.subpop_k > 0); same validity window as merged().
-  const std::optional<KeyedKmvSketch>& subpop() const { return subpop_; }
+  const std::optional<KeyedKmvSketch>& subpop() const {
+    return std::get<2>(slots_).base;
+  }
+
+  /// The engine state by value at position total_seen(), stamped with the
+  /// last publication's sequence number (0 before any). Run publishes
+  /// exactly this when it stops; same validity window as merged().
+  ShardEngineSnapshot<SketchT> Snapshot() const;
 
   /// Registers a snapshot consumer: every `every_tuples` routed tuples (at
   /// the next quiesced chunk boundary, phase-locked to absolute stream
@@ -248,7 +268,32 @@ class ShardEngine {
                        uint64_t every_tuples);
 
  private:
-  struct Lane;  // worker lane: rings, thread, partial sketch (shard_engine.cc)
+  struct Lane;  // worker lane: rings, thread, partials (shard_engine.cc)
+
+  // A sketch every lane keeps a partial of, merged by union: the primary
+  // sketch and the KMV-style companions. A slot names how its sketch is
+  // built (the prototype every partial and base copies), where it rides in
+  // a checkpoint, how it loads, and what it sees; each lane-partial
+  // operation of the engine is one loop over slots_.
+  template <typename T>
+  struct Slot {
+    const char* noun;  // names the sketch in CheckpointError messages
+    bool PipelineCheckpoint::*section;                 // its flag bit
+    std::vector<uint8_t> ShardCheckpointState::*blob;  // one per shard
+    T (*deserialize)(const std::vector<uint8_t>&);
+    bool after_faults;  // fed through the fault stage, not before it
+    std::optional<T> proto;   // engaged iff the slot is enabled
+    std::optional<T> base{};  // restored base, then Run's merged result
+  };
+  // One `Of<T>` per slot, in slot order: primary, distinct, subpop.
+  template <template <typename> class Of>
+  using PerSlot = std::tuple<Of<SketchT>, Of<KmvSketch>, Of<KeyedKmvSketch>>;
+
+  // The bases with every lane's partials merged in, at absolute position
+  // `position`, as a snapshot stamped with the current sequence number.
+  ShardEngineSnapshot<SketchT> Cut(
+      const std::vector<std::unique_ptr<Lane>>& lanes,
+      uint64_t position) const;
 
   // Builds one checkpoint at absolute position `total` from quiesced lanes.
   void WriteCheckpoint(const std::vector<std::unique_ptr<Lane>>& lanes,
@@ -267,21 +312,16 @@ class ShardEngine {
                     size_t first_lane, ShardEngineStats& stats);
 
   ShardEngineOptions options_;
-  SketchT proto_;    // clean prototype for worker partials
-  SketchT merged_;   // restored base, then the final merged result
+  PerSlot<Slot> slots_;
   double p_;
-  uint64_t initial_tuples_ = 0;  // absolute position Run continues from
+  // Realized totals; total_seen_ is also the absolute position Run
+  // continues from.
   uint64_t total_seen_ = 0;
   uint64_t total_kept_ = 0;
-  // Auxiliary distinct counter: restored base + folded lane partials
-  // (mirrors merged_). Engaged iff options.distinct_k > 0.
-  std::optional<KmvSketch> distinct_;
-  // Engine-level quantile sketch, fed in stream order by FoldQuantile.
-  // Engaged iff options.quantile_k > 0.
+  // Engine-level quantile sketch, fed in stream order by FoldQuantile (the
+  // router fold; KLL partials would not merge bit-exactly). Engaged iff
+  // options.quantile_k > 0.
   std::optional<KllSketch> quantile_;
-  // Keyed-KMV subpopulation sketch: restored base + folded lane partials
-  // (mirrors distinct_). Engaged iff options.subpop_k > 0.
-  std::optional<KeyedKmvSketch> subpop_;
   ShardSnapshotHook<SketchT>* snapshot_hook_ = nullptr;
   uint64_t snapshot_every_ = 0;
   uint64_t snapshot_sequence_ = 0;

@@ -15,6 +15,16 @@
 //   kll_k200_long.sksa       k=200 after 2^20 updates (13 levels)
 //   kll_k200_merge.sksa      Merge of two such sketches
 //
+// The recipes above build every section by hand. Two more goldens pin what
+// ShardEngine itself writes and answers, in the service benchmark's shape
+// (F-AGMS 3x5000 CW4, 2 shards at p = 0.25, KMV and keyed-KMV k = 1024,
+// KLL k = 200) over a fixed Zipf(1.0) stream:
+//
+//   v1_engine.skcp           the engine's latest checkpoint, mid-stream
+//   engine_answers.txt       "<target> <body>" per answer of the sealed
+//                            final state: selfjoin, 5 points, distinct,
+//                            4 quantiles, 3 subpops, and a join
+//
 // Each golden is regenerated in-process from a deterministic recipe and
 // must match the committed file byte for byte; deserializing the file and
 // re-serializing the result must also reproduce the exact bytes. Together
@@ -37,11 +47,15 @@
 
 #include <gtest/gtest.h>
 
+#include "src/data/zipf.h"
+#include "src/service/service.h"
 #include "src/sketch/fagms.h"
 #include "src/sketch/kll.h"
 #include "src/sketch/kmv.h"
 #include "src/sketch/serialize.h"
 #include "src/stream/checkpoint.h"
+#include "src/stream/shard_engine.h"
+#include "src/stream/source.h"
 #include "src/util/crc32.h"
 #include "src/util/rng.h"
 
@@ -225,6 +239,93 @@ const SketchGoldenCase kSketchGoldens[] = {
     {"kll_k200_merge.sksa", MergedLongKllBlob},
 };
 
+// Engine goldens: the stream, the engine configuration and the answer
+// targets are fixed; the engine alone decides the bytes.
+constexpr size_t kEngineTuples = 100000;
+constexpr uint64_t kEngineCheckpointEvery = 40000;  // latest at 80000
+
+std::vector<uint64_t> ZipfStream(uint64_t seed, size_t n) {
+  const ZipfSampler zipf(100000, 1.0);
+  Xoshiro256 rng(seed);
+  return zipf.Stream(n, rng);
+}
+
+SketchParams EngineSketchParams() {
+  SketchParams params;
+  params.rows = 3;
+  params.buckets = 5000;
+  params.scheme = XiScheme::kCw4;
+  params.seed = 0x5e7c;
+  return params;
+}
+
+ShardEngineOptions EngineOptions(size_t shards) {
+  ShardEngineOptions options;
+  options.shards = shards;
+  options.shed_p = 0.25;
+  options.seed = 0x5eed;
+  options.distinct_k = 1024;
+  options.quantile_k = 200;
+  options.subpop_k = 1024;
+  return options;
+}
+
+std::vector<uint8_t> EngineCheckpointBlob() {
+  LatestCheckpointSink sink;
+  ShardEngineOptions options = EngineOptions(2);
+  options.checkpoint_sink = &sink;
+  options.checkpoint_every = kEngineCheckpointEvery;
+  ShardEngine<FagmsSketch> engine(FagmsSketch(EngineSketchParams()), options);
+  VectorSource source(ZipfStream(1, kEngineTuples));
+  engine.Run(source);
+  return sink.bytes();
+}
+
+// Every answer body of the engine's sealed state, one line per target.
+std::vector<uint8_t> EngineAnswers(const ShardEngine<FagmsSketch>& engine) {
+  const ServiceSnapshot snap{engine.merged(),     engine.distinct(),
+                             engine.quantile(),   engine.subpop(),
+                             engine.total_seen(), engine.total_kept(),
+                             0,                   engine.p()};
+  FagmsSketch reference(EngineSketchParams());
+  reference.UpdateBatch(ZipfStream(2, 20000));
+  const double level = 0.95;
+  std::string out;
+  const auto line = [&out](const std::string& target, const JsonValue& body) {
+    out += target + " " + body.Dump() + "\n";
+  };
+  line("/query/selfjoin", SelfJoinResponseJson(snap, std::nullopt, level));
+  for (uint64_t key : {0, 1, 7, 1000, 99999}) {
+    line("/query/point?key=" + std::to_string(key),
+         PointResponseJson(snap, key, std::nullopt, level));
+  }
+  line("/query/distinct", DistinctResponseJson(snap, level));
+  for (const char* q : {"0.1", "0.5", "0.9", "0.99"}) {
+    line(std::string("/query/quantile?q=") + q,
+         QuantileResponseJson(snap, std::strtod(q, nullptr), level));
+  }
+  for (const char* filter : {"mod:10-3", "range:0-99", "mask:1-1"}) {
+    line(std::string("/query/subpop?filter=") + filter,
+         SubpopResponseJson(snap, ParseSubpopFilter(filter), level));
+  }
+  line("/query/join", JoinResponseJson(snap, reference, std::nullopt,
+                                       std::nullopt, level));
+  return std::vector<uint8_t>(out.begin(), out.end());
+}
+
+std::vector<uint8_t> UninterruptedEngineAnswers() {
+  ShardEngine<FagmsSketch> engine(FagmsSketch(EngineSketchParams()),
+                                  EngineOptions(2));
+  VectorSource source(ZipfStream(1, kEngineTuples));
+  engine.Run(source);
+  return EngineAnswers(engine);
+}
+
+const SketchGoldenCase kEngineGoldens[] = {
+    {"v1_engine.skcp", EngineCheckpointBlob},
+    {"engine_answers.txt", UninterruptedEngineAnswers},
+};
+
 bool WriteGoldenMode() {
   const char* env = std::getenv("SKETCHSAMPLE_WRITE_GOLDEN");
   return env != nullptr && env[0] == '1';
@@ -237,6 +338,9 @@ TEST(CheckpointGoldenTest, RegenerateWhenRequested) {
                    SerializeCheckpoint(golden.make()));
   }
   for (const SketchGoldenCase& golden : kSketchGoldens) {
+    WriteFileBytes(GoldenPath(golden.file), golden.make());
+  }
+  for (const SketchGoldenCase& golden : kEngineGoldens) {
     WriteFileBytes(GoldenPath(golden.file), golden.make());
   }
 }
@@ -343,6 +447,37 @@ TEST(KllGoldenTest, LongStreamBlobsRoundTripAndReachDeepLevels) {
     EXPECT_GE(kll.levels().size(), 13u);
     EXPECT_GE(kll.n(), kLongKllUpdates);
     EXPECT_EQ(SerializeSketch(kll), committed);
+  }
+}
+
+// The engine still writes the committed checkpoint and answers the
+// committed bodies: its checkpoint layout and every answer byte are pinned
+// across changes to the engine and the service, not just across two runs
+// of one build.
+TEST(EngineGoldenTest, CommittedBytesMatchEngineOutput) {
+  if (WriteGoldenMode()) GTEST_SKIP();
+  for (const SketchGoldenCase& golden : kEngineGoldens) {
+    SCOPED_TRACE(golden.file);
+    EXPECT_EQ(ReadFileBytes(GoldenPath(golden.file)), golden.make());
+  }
+}
+
+// Resuming from the committed mid-stream checkpoint, at a shard count other
+// than the writer's, reproduces the uninterrupted run's committed answers.
+TEST(EngineGoldenTest, ResumeFromCommittedCheckpointReproducesAnswers) {
+  const PipelineCheckpoint cp =
+      DeserializeCheckpoint(ReadFileBytes(GoldenPath("v1_engine.skcp")));
+  ASSERT_EQ(cp.source_tuples, 2 * kEngineCheckpointEvery);
+  const std::vector<uint8_t> answers =
+      ReadFileBytes(GoldenPath("engine_answers.txt"));
+  for (const size_t shards : {1u, 3u}) {
+    SCOPED_TRACE(shards);
+    ShardEngine<FagmsSketch> engine(FagmsSketch(EngineSketchParams()),
+                                    EngineOptions(shards));
+    VectorSource source(ZipfStream(1, kEngineTuples));
+    engine.Restore(cp, source);
+    engine.Run(source);
+    EXPECT_EQ(EngineAnswers(engine), answers);
   }
 }
 

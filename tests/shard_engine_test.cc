@@ -15,12 +15,14 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/sampling/bernoulli.h"
 #include "src/sketch/agms.h"
 #include "src/sketch/fagms.h"
 #include "src/sketch/fastcount.h"
+#include "src/sketch/kll.h"
 #include "src/sketch/kmv.h"
 #include "src/stream/checkpoint.h"
 #include "src/stream/faults.h"
@@ -740,6 +742,126 @@ TEST(ShardEngineTest, RestoreRejectsIncompatibleDistinctBlob) {
   VectorSource source(MakeStream(100, 1, 10));
   EXPECT_THROW(engine.Restore(cp, source), CheckpointError);
 }
+
+// --- Companion restore rejection ----------------------------------------
+
+// Every companion the engine checkpoints is checked before anything is
+// committed: a missing section, a blob of another k, or a corrupt blob
+// throws CheckpointError and leaves the engine exactly as it was.
+enum class Companion { kDistinct, kSubpop, kQuantile };
+enum class Defect { kMissing, kMismatch, kCorrupt };
+
+class CompanionRestoreRejectionTest
+    : public testing::TestWithParam<std::tuple<Companion, Defect>> {};
+
+ShardEngineOptions CompanionOptions() {
+  ShardEngineOptions opts;
+  opts.shards = 2;
+  opts.shed_p = 0.5;
+  opts.seed = kRootSeed;
+  opts.chunk_tuples = 512;
+  opts.distinct_k = 32;
+  opts.quantile_k = 16;
+  opts.subpop_k = 32;
+  return opts;
+}
+
+// Applies `defect` to the companion's blobs: every shard's, or the one
+// engine-level KLL blob. Corruption hits the last blob, so the loader has
+// already accepted the others when it fails.
+void Damage(PipelineCheckpoint& cp, Companion companion, Defect defect) {
+  const ShardEngineOptions opts = CompanionOptions();
+  std::vector<std::vector<uint8_t>*> blobs;
+  if (companion == Companion::kQuantile) {
+    blobs.push_back(&cp.quantile);
+  } else {
+    for (ShardCheckpointState& shard : cp.shards) {
+      blobs.push_back(companion == Companion::kDistinct ? &shard.distinct
+                                                        : &shard.subpop);
+    }
+  }
+  switch (defect) {
+    case Defect::kMissing:
+      if (companion == Companion::kDistinct) cp.has_shard_distinct = false;
+      if (companion == Companion::kSubpop) cp.has_shard_subpop = false;
+      for (std::vector<uint8_t>* blob : blobs) blob->clear();
+      break;
+    case Defect::kMismatch:
+      for (std::vector<uint8_t>* blob : blobs) {
+        switch (companion) {
+          case Companion::kDistinct:
+            *blob = SerializeSketch(KmvSketch(
+                2 * opts.distinct_k, ShardDistinctSeed(opts.seed)));
+            break;
+          case Companion::kSubpop:
+            *blob = SerializeSketch(KeyedKmvSketch(
+                2 * opts.subpop_k, ShardSubpopSeed(opts.seed)));
+            break;
+          case Companion::kQuantile:
+            *blob = SerializeSketch(KllSketch(
+                2 * opts.quantile_k, ShardQuantileSeed(opts.seed)));
+            break;
+        }
+      }
+      break;
+    case Defect::kCorrupt: {
+      std::vector<uint8_t>& blob = *blobs.back();
+      ASSERT_GT(blob.size(), 16u);
+      blob[blob.size() / 2] ^= 0x5a;
+      break;
+    }
+  }
+}
+
+TEST_P(CompanionRestoreRejectionTest, RejectsAndCommitsNothing) {
+  const auto [companion, defect] = GetParam();
+  const std::vector<uint64_t> values = MakeStream(20000, 29, 500);
+  LatestCheckpointSink sink;
+  ShardEngineOptions writer_opts = CompanionOptions();
+  writer_opts.checkpoint_sink = &sink;
+  writer_opts.checkpoint_every = 8192;
+  ShardEngine<FagmsSketch> writer(FagmsSketch(SmallParams()), writer_opts);
+  RunEngine(writer, values);
+  PipelineCheckpoint cp = DeserializeCheckpoint(sink.bytes());
+  Damage(cp, companion, defect);
+
+  // The engine under test holds state of its own, at another shed rate.
+  ShardEngineOptions opts = CompanionOptions();
+  opts.shed_p = 0.25;
+  ShardEngine<FagmsSketch> engine(FagmsSketch(SmallParams()), opts);
+  RunEngine(engine, MakeStream(3000, 31, 500));
+  const std::vector<uint8_t> merged = SerializeSketch(engine.merged());
+  const std::vector<uint8_t> distinct = SerializeSketch(*engine.distinct());
+  const std::vector<uint8_t> quantile = SerializeSketch(*engine.quantile());
+  const std::vector<uint8_t> subpop = SerializeSketch(*engine.subpop());
+  const uint64_t seen = engine.total_seen();
+  const double p = engine.p();
+
+  VectorSource source(values);
+  EXPECT_THROW(engine.Restore(cp, source), CheckpointError);
+  EXPECT_EQ(SerializeSketch(engine.merged()), merged);
+  EXPECT_EQ(SerializeSketch(*engine.distinct()), distinct);
+  EXPECT_EQ(SerializeSketch(*engine.quantile()), quantile);
+  EXPECT_EQ(SerializeSketch(*engine.subpop()), subpop);
+  EXPECT_EQ(engine.total_seen(), seen);
+  EXPECT_EQ(engine.p(), p);
+}
+
+std::string CompanionCaseName(
+    const testing::TestParamInfo<std::tuple<Companion, Defect>>& info) {
+  static const char* const kCompanions[] = {"Distinct", "Subpop", "Quantile"};
+  static const char* const kDefects[] = {"Missing", "Mismatch", "Corrupt"};
+  return std::string(kCompanions[static_cast<int>(std::get<0>(info.param))]) +
+         kDefects[static_cast<int>(std::get<1>(info.param))];
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryCompanion, CompanionRestoreRejectionTest,
+    testing::Combine(testing::Values(Companion::kDistinct, Companion::kSubpop,
+                                     Companion::kQuantile),
+                     testing::Values(Defect::kMissing, Defect::kMismatch,
+                                     Defect::kCorrupt)),
+    CompanionCaseName);
 
 }  // namespace
 }  // namespace sketchsample

@@ -430,9 +430,11 @@ int CmdOffline(int argc, char** argv) {
   if (!setup.options.join_sketch.empty()) {
     const FagmsSketch reference =
         DeserializeFagms(setup.options.join_sketch);
+    const ResolvedMoments g =
+        ResolveJoinMoments(reference, setup.options.moments_g);
     std::printf("join %s\n",
                 JoinResponseJson(*guard, reference, setup.options.moments_f,
-                                 setup.options.moments_g, level, fresh)
+                                 g, level, fresh)
                     .Dump()
                     .c_str());
   }

@@ -4,7 +4,10 @@
 #
 #   tools/service_smoke.sh <work_dir> [build_dir]
 #
-# Everything is fixed-seed and bounded-duration. Three scenarios:
+# Everything is fixed-seed and bounded-duration. Every run joins against
+# one reference sketch built by `sketchsample sketch` at the service's
+# shape and seed, so /query/join is checked like every other endpoint.
+# Three scenarios:
 #
 #   1. Bit-exactness: ingest a zipf dataset through POST /ingest, then
 #      require every query endpoint to answer byte-identically to
@@ -29,10 +32,12 @@ mkdir -p "$work"
 tuples=50000
 domain=20000
 gen_seed=20090402
+sketch_flags=(--buckets=512 --rows=3 --scheme=eh3 --seed=33)
 engine_flags=(
-  --buckets=512 --rows=3 --scheme=eh3 --seed=33
+  "${sketch_flags[@]}"
   --shards=2 --shed-p=0.5 --shed-seed=42
   --distinct-k=256 --quantile-k=200 --subpop-k=256 --snapshot-every=8192
+  --join-sketch="$work/reference.sk"
 )
 keys="17,4242,9999"
 quantiles="0.5,0.9,0.99"
@@ -69,6 +74,12 @@ echo "== generate dataset (${tuples} zipf tuples, seed ${gen_seed})"
 "$cli" generate --kind=zipf --out="$work/data.txt" \
   --tuples="$tuples" --domain="$domain" --skew=1.0 --seed="$gen_seed"
 
+echo "== join reference sketch (service shape and seed)"
+"$cli" generate --kind=zipf --out="$work/reference.txt" \
+  --tuples=20000 --domain="$domain" --skew=1.0 --seed="$((gen_seed + 1))"
+"$cli" sketch "${sketch_flags[@]}" --in="$work/reference.txt" \
+  --out="$work/reference.sk"
+
 echo "== offline reference answers"
 "$cli" offline "${engine_flags[@]}" --in="$work/data.txt" --keys="$keys" \
   --quantiles="$quantiles" --subpop-filters="$subpop_filters" \
@@ -79,8 +90,10 @@ start_server "$work/port.txt" serve
 port="$(cat "$work/port.txt")"
 "$loadgen" --port="$port" --ingest-file="$work/data.txt" --close=true \
   --wait-done=true --once=true --keys="$keys" --distinct-weight=1 \
-  --quantiles="$quantiles" --subpop-filters="$subpop_filters" \
-  >"$work/online.txt"
+  --join-weight=1 --quantiles="$quantiles" \
+  --subpop-filters="$subpop_filters" >"$work/online.txt"
+grep -q '^join ' "$work/offline.txt" || {
+  echo "FAIL: offline printed no join answer" >&2; exit 1; }
 if ! diff -u "$work/offline.txt" "$work/online.txt"; then
   echo "FAIL: online answers diverge from offline" >&2
   exit 1
@@ -90,7 +103,7 @@ echo "   bit-exact: OK"
 echo "== scenario 2: query load (fixed seed, bounded duration)"
 "$loadgen" --port="$port" --threads=2 --seconds=2 --seed=1 \
   --selfjoin-weight=2 --point-weight=2 --distinct-weight=1 --stats-weight=1 \
-  --quantile-weight=1 --subpop-weight=1 \
+  --quantile-weight=1 --subpop-weight=1 --join-weight=1 \
   --key-domain="$domain" --json_out="$work/BENCH_loadgen.json"
 
 echo "== scenario 3: kill -9 mid-ingest, resume from checkpoint"
@@ -116,8 +129,8 @@ port3="$(cat "$work/port3.txt")"
 # fast-forwards past the checkpointed prefix bit-exactly.
 "$loadgen" --port="$port3" --ingest-file="$work/data.txt" --close=true \
   --wait-done=true --once=true --keys="$keys" --distinct-weight=1 \
-  --quantiles="$quantiles" --subpop-filters="$subpop_filters" \
-  >"$work/resumed.txt"
+  --join-weight=1 --quantiles="$quantiles" \
+  --subpop-filters="$subpop_filters" >"$work/resumed.txt"
 strip_sequence "$work/offline.txt" >"$work/offline_noseq.txt"
 strip_sequence "$work/resumed.txt" >"$work/resumed_noseq.txt"
 if ! diff -u "$work/offline_noseq.txt" "$work/resumed_noseq.txt"; then
