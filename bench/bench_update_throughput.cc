@@ -23,9 +23,13 @@
 #include "src/prng/cw.h"
 #include "src/prng/hash.h"
 #include "src/prng/simd/dispatch.h"
+#include "src/service/http.h"
+#include "src/service/service.h"
 #include "src/sketch/agms.h"
 #include "src/sketch/fagms.h"
 #include "src/sketch/kll.h"
+#include "src/stream/shard_engine.h"
+#include "src/stream/source.h"
 #include "src/util/aligned.h"
 #include "src/util/rng.h"
 
@@ -115,6 +119,59 @@ void BM_KllUpdate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kTuplesPerIteration);
 }
 BENCHMARK(BM_KllUpdate);
+
+// One sealed service snapshot in perfbench's shape: F-AGMS 3x5000 CW4,
+// distinct and subpop k = 1024, KLL k = 200, 2^20 Zipf tuples shed at
+// p = 0.1 on two lanes.
+const ServiceSnapshot& SealedSnapshot() {
+  static const ServiceSnapshot sealed = [] {
+    SketchParams sketch;
+    sketch.rows = 3;
+    sketch.buckets = 5000;
+    sketch.scheme = XiScheme::kCw4;
+    sketch.seed = 11;
+    ShardEngineOptions options;
+    options.shards = 2;
+    options.shed_p = 0.1;
+    options.seed = 12;
+    options.distinct_k = 1024;
+    options.quantile_k = 200;
+    options.subpop_k = 1024;
+    ZipfSampler sampler(kDomain, 1.0);
+    Xoshiro256 rng(13);
+    VectorSource source(sampler.Stream(size_t{1} << 20, rng));
+    ShardEngine<FagmsSketch> engine(FagmsSketch(sketch), options);
+    engine.Run(source);
+    return engine.Snapshot();
+  }();
+  return sealed;
+}
+
+// The raw self-join scan of the sealed snapshot's sketch: all 15000
+// counters, what every self-join, point and join answer used to pay.
+void BM_FagmsEstimateSelfJoin(benchmark::State& state) {
+  const FagmsSketch& sketch = SealedSnapshot().sketch;
+  for (auto _ : state) benchmark::DoNotOptimize(sketch.EstimateSelfJoin());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FagmsEstimateSelfJoin);
+
+// A whole /query/selfjoin answer on the sealed snapshot: estimator,
+// interval, JSON body and HTTP response, as the service serves every read
+// of an unchanged snapshot. The snapshot derives its self-join estimate
+// once, so the answer costs a fraction of one scan.
+void BM_SelfJoinAnswer(benchmark::State& state) {
+  const ServiceSnapshot& snapshot = SealedSnapshot();
+  QueryFreshness fresh;
+  fresh.pushed = snapshot.position;
+  for (auto _ : state) {
+    HttpResponse response = JsonResponse(
+        200, SelfJoinResponseJson(snapshot, std::nullopt, 0.95, fresh));
+    benchmark::DoNotOptimize(response);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SelfJoinAnswer);
 
 // --------------------------------------------------------------------------
 // ISA-dispatched kernel series (src/prng/simd/). Registered dynamically so a

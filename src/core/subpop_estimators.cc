@@ -100,12 +100,19 @@ SubpopPredicate ParseSubpopFilter(const std::string& text) {
 SubpopEstimate EstimateSubpopulation(const KeyedKmvSketch& sketch,
                                      const SubpopPredicate& pred,
                                      double realized_p) {
+  return EstimateSubpopulation(sketch.Entries(), sketch.k(), pred,
+                               realized_p);
+}
+
+SubpopEstimate EstimateSubpopulation(
+    const std::vector<KeyedKmvSketch::Entry>& entries, size_t k,
+    const SubpopPredicate& pred, double realized_p) {
   if (!(realized_p > 0.0 && realized_p <= 1.0)) {
     throw std::invalid_argument("realized sampling rate must be in (0, 1]");
   }
+  if (k < 2) throw std::invalid_argument("keyed KMV needs k >= 2");
   SubpopEstimate out;
-  const std::vector<KeyedKmvSketch::Entry> entries = sketch.Entries();
-  if (!sketch.saturated()) {
+  if (entries.size() < k) {
     // Every distinct kept key is retained: the kept weight is an exact
     // filtered sum, and only the shedding term contributes variance.
     out.exact = true;
@@ -122,7 +129,7 @@ SubpopEstimate EstimateSubpopulation(const KeyedKmvSketch& sketch,
     // each, so the Horvitz–Thompson sum over the matching ones estimates
     // the kept subpopulation weight with Cohen–Kaplan's conditional
     // variance (1−u)/u² · Σ w².
-    const double u = sketch.Threshold01();
+    const double u = KmvThreshold01(entries.back().hash);
     out.sample_size = entries.size() - 1;  // the k-th entry is the threshold
     double weight_sum = 0;
     double weight_sq_sum = 0;

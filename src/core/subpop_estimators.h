@@ -28,6 +28,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "src/core/confidence.h"
 #include "src/sketch/kmv.h"
@@ -77,6 +78,14 @@ struct SubpopEstimate {
 SubpopEstimate EstimateSubpopulation(const KeyedKmvSketch& sketch,
                                      const SubpopPredicate& pred,
                                      double realized_p);
+
+/// The same estimate from the sketch's retained entries (`Entries()`, in
+/// ascending hash order) and its `k` (>= 2, else std::invalid_argument):
+/// the service derives the entries once per published snapshot
+/// (src/stream/shard_engine.h) instead of copying them out per query.
+SubpopEstimate EstimateSubpopulation(
+    const std::vector<KeyedKmvSketch::Entry>& entries, size_t k,
+    const SubpopPredicate& pred, double realized_p);
 
 /// CLT interval for a subpopulation estimate, clamped below at zero
 /// (weights are nonnegative).

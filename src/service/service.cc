@@ -73,7 +73,7 @@ bool ParseUint64(std::string_view text, uint64_t* out) {
 JsonValue SelfJoinResponseJson(const ServiceSnapshot& snapshot,
                                const std::optional<StreamMoments>& moments_f,
                                double level, const QueryFreshness& fresh) {
-  const double raw = snapshot.sketch.EstimateSelfJoin();
+  const double raw = snapshot.self_join();
   const double p = snapshot.realized_p();
   const double estimate =
       p > 0.0 ? RealizedSelfJoinEstimate(raw, p, snapshot.kept) : 0.0;
@@ -132,7 +132,7 @@ JsonValue JoinResponseJson(const ServiceSnapshot& snapshot,
   const double p = snapshot.realized_p();
   // The reference sketch summarizes an unsampled relation: q̂ = 1.
   const double estimate = p > 0.0 ? RealizedJoinEstimate(raw, p, 1.0) : 0.0;
-  const double self_raw = snapshot.sketch.EstimateSelfJoin();
+  const double self_raw = snapshot.self_join();
   const double f2_estimate =
       p > 0.0 ? RealizedSelfJoinEstimate(self_raw, p, snapshot.kept) : 0.0;
   const ResolvedMoments f = ResolveMoments(
@@ -176,7 +176,7 @@ JsonValue PointResponseJson(const ServiceSnapshot& snapshot, uint64_t key,
   const double raw = snapshot.sketch.EstimateFrequency(key);
   const double p = snapshot.realized_p();
   const double estimate = p > 0.0 ? RealizedJoinEstimate(raw, p, 1.0) : 0.0;
-  const double self_raw = snapshot.sketch.EstimateSelfJoin();
+  const double self_raw = snapshot.self_join();
   const double f2_estimate =
       p > 0.0 ? RealizedSelfJoinEstimate(self_raw, p, snapshot.kept) : 0.0;
   const ResolvedMoments f = ResolveMoments(
@@ -260,8 +260,8 @@ JsonValue QuantileResponseJson(const ServiceSnapshot& snapshot, double q,
     }
     const double eps_total = eps_sketch + eps_sampling;
     // Value-space interval: the sketch re-queried at the rank bounds, all
-    // three ranks answered from one sorted view.
-    const std::vector<uint64_t> values = kll.EstimateQuantiles(
+    // three ranks answered from the snapshot's one sorted view.
+    const std::vector<uint64_t> values = snapshot.quantile_view().Quantiles(
         {q, std::max(0.0, q - eps_total), std::min(1.0, q + eps_total)});
     estimate = static_cast<double>(values[0]);
     ci.low = static_cast<double>(values[1]);
@@ -295,7 +295,7 @@ JsonValue SubpopResponseJson(const ServiceSnapshot& snapshot,
   const double p = snapshot.realized_p();
   SubpopEstimate est;
   if (snapshot.kept > 0 && p > 0.0) {
-    est = EstimateSubpopulation(kmv, pred, p);
+    est = EstimateSubpopulation(snapshot.subpop_entries(), kmv.k(), pred, p);
   } else {
     est.exact = true;  // empty sketch: the weight is exactly zero
   }

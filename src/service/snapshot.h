@@ -46,9 +46,14 @@
 
 namespace sketchsample {
 
-/// Single-slot RCU cell. T must be immutable after publication. One writer
-/// thread; up to `max_readers` concurrent reader threads, each using its own
-/// slot index (the HTTP server hands every connection a distinct slot).
+/// Single-slot RCU cell. T must be immutable after publication, with one
+/// exception: values derived from the published members behind a OnceLatch
+/// (src/util/once_latch.h), which readers may fill in on first use because
+/// the latch publishes them exactly once with release/acquire ordering and
+/// every reader then sees the same value (ServiceSnapshot's
+/// SnapshotQueryView, src/stream/shard_engine.h). One writer thread; up to
+/// `max_readers` concurrent reader threads, each using its own slot index
+/// (the HTTP server hands every connection a distinct slot).
 template <typename T, typename Policy = StdAtomics,
           typename Deleter = std::default_delete<const T>>
 class RcuCell {

@@ -147,6 +147,24 @@ uint64_t KllSketch::EstimateQuantile(double q) const {
 
 std::vector<uint64_t> KllSketch::EstimateQuantiles(
     const std::vector<double>& qs) const {
+  return KllSortedView(*this).Quantiles(qs);
+}
+
+KllSortedView::KllSortedView(const KllSketch& sketch)
+    : n_(sketch.n()), min_item_(sketch.min_item()),
+      max_item_(sketch.max_item()) {
+  items_.reserve(sketch.retained());
+  for (size_t l = 0; l < sketch.levels().size(); ++l) {
+    const uint64_t weight = uint64_t{1} << l;
+    for (uint64_t v : sketch.levels()[l]) items_.emplace_back(v, weight);
+  }
+  std::sort(items_.begin(), items_.end());
+  uint64_t cumulative = 0;
+  for (auto& item : items_) item.second = cumulative += item.second;
+}
+
+std::vector<uint64_t> KllSortedView::Quantiles(
+    const std::vector<double>& qs) const {
   for (double q : qs) {
     if (!(q >= 0.0 && q <= 1.0)) {
       throw std::invalid_argument("quantile rank must be in [0, 1]");
@@ -155,17 +173,6 @@ std::vector<uint64_t> KllSketch::EstimateQuantiles(
   if (n_ == 0) {
     throw std::invalid_argument("quantile query on an empty sketch");
   }
-  // Sorted weighted view: (value, cumulative weight) in ascending value
-  // order, shared by every rank.
-  std::vector<std::pair<uint64_t, uint64_t>> view;
-  view.reserve(retained_);
-  for (size_t l = 0; l < levels_.size(); ++l) {
-    const uint64_t weight = uint64_t{1} << l;
-    for (uint64_t v : levels_[l]) view.emplace_back(v, weight);
-  }
-  std::sort(view.begin(), view.end());
-  uint64_t cumulative = 0;
-  for (auto& item : view) item.second = cumulative += item.second;
   std::vector<uint64_t> answers;
   answers.reserve(qs.size());
   for (double q : qs) {
@@ -179,10 +186,10 @@ std::vector<uint64_t> KllSketch::EstimateQuantiles(
     target_weight = std::min(target_weight, n_);
     // First item whose cumulative weight reaches the target.
     const auto it = std::partition_point(
-        view.begin(), view.end(), [target_weight](const auto& item) {
+        items_.begin(), items_.end(), [target_weight](const auto& item) {
           return item.second < target_weight;
         });
-    answers.push_back(it != view.end() ? it->first : max_item_);
+    answers.push_back(it != items_.end() ? it->first : max_item_);
   }
   return answers;
 }

@@ -27,6 +27,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace sketchsample {
@@ -58,8 +59,8 @@ class KllSketch {
 
   /// EstimateQuantile at every rank in `qs`, answered from one sorted
   /// weighted view of the retained items (one sort per call, not per
-  /// rank). Same values and same exceptions as one EstimateQuantile call
-  /// per rank.
+  /// rank; KllSortedView(*this).Quantiles(qs)). Same values and same
+  /// exceptions as one EstimateQuantile call per rank.
   std::vector<uint64_t> EstimateQuantiles(const std::vector<double>& qs) const;
 
   /// Approximate normalized rank of `value`: fraction of observed items
@@ -113,6 +114,27 @@ class KllSketch {
   std::vector<size_t> capacities_;
   size_t budget_ = 0;
   size_t retained_ = 0;
+};
+
+/// Sorted cumulative view of a KllSketch: every retained item in ascending
+/// value order with the running weight up to it, plus the exact extremes.
+/// Building it is the sort EstimateQuantiles pays per call; a view built
+/// once answers any number of rank sets (the service keeps one per
+/// published snapshot, src/stream/shard_engine.h).
+class KllSortedView {
+ public:
+  KllSortedView() = default;
+  explicit KllSortedView(const KllSketch& sketch);
+
+  /// Same values and same exceptions as sketch.EstimateQuantiles(qs) on
+  /// the sketch the view was built from.
+  std::vector<uint64_t> Quantiles(const std::vector<double>& qs) const;
+
+ private:
+  std::vector<std::pair<uint64_t, uint64_t>> items_;  // (value, cumulative)
+  uint64_t n_ = 0;
+  uint64_t min_item_ = 0;
+  uint64_t max_item_ = 0;
 };
 
 }  // namespace sketchsample

@@ -8,6 +8,11 @@
 
 namespace sketchsample {
 
+double KmvThreshold01(uint64_t kth_hash) {
+  return (static_cast<double>(kth_hash) + 1.0) /
+         18446744073709551616.0;  // / 2^64
+}
+
 KmvSketch::KmvSketch(size_t k, uint64_t seed) : k_(k), seed_(seed) {
   if (k < 2) {
     throw std::invalid_argument("KMV needs k >= 2");
@@ -39,9 +44,8 @@ double KmvSketch::EstimateDistinct() const {
     return static_cast<double>(minima_.size());
   }
   // u = normalized k-th minimum; (k-1)/u is the unbiased estimator.
-  const double kth = static_cast<double>(*std::prev(minima_.end()));
-  const double u = (kth + 1.0) / 18446744073709551616.0;  // / 2^64
-  return static_cast<double>(k_ - 1) / u;
+  return static_cast<double>(k_ - 1) /
+         KmvThreshold01(*std::prev(minima_.end()));
 }
 
 void KmvSketch::LoadMinima(const std::vector<uint64_t>& minima) {
@@ -111,8 +115,7 @@ double KeyedKmvSketch::EstimateDistinct() const {
 
 double KeyedKmvSketch::Threshold01() const {
   if (entries_.size() < k_) return 1.0;
-  const double kth = static_cast<double>(std::prev(entries_.end())->first);
-  return (kth + 1.0) / 18446744073709551616.0;  // / 2^64
+  return KmvThreshold01(std::prev(entries_.end())->first);
 }
 
 std::vector<KeyedKmvSketch::Entry> KeyedKmvSketch::Entries() const {

@@ -21,6 +21,10 @@
 
 namespace sketchsample {
 
+/// Normalized position (h + 1) / 2^64 in (0, 1] of the k-th smallest
+/// retained hash `h`: the inclusion threshold both KMV estimators scale by.
+double KmvThreshold01(uint64_t kth_hash);
+
 /// k-minimum-values distinct counter over 64-bit keys.
 class KmvSketch {
  public:

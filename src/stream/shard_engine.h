@@ -47,11 +47,14 @@
 #include <tuple>
 #include <vector>
 
+#include "src/sketch/kll.h"
+#include "src/sketch/kmv.h"
 #include "src/stream/checkpoint.h"
 #include "src/stream/faults.h"
 #include "src/stream/pipeline.h"
 #include "src/stream/shed_controller.h"
 #include "src/stream/source.h"
+#include "src/util/once_latch.h"
 
 namespace sketchsample {
 
@@ -130,6 +133,44 @@ uint64_t ShardQuantileSeed(uint64_t root_seed);
 /// Hash seed of the per-lane keyed-KMV subpopulation sketches.
 uint64_t ShardSubpopSeed(uint64_t root_seed);
 
+/// Query-form view of one snapshot: the values every answer of an
+/// unchanged snapshot would otherwise re-derive — the primary sketch's
+/// self-join estimate, the KLL's sorted cumulative view and the keyed-KMV
+/// entries. Each sits behind its own OnceLatch: the first reader that needs
+/// it derives it, and every later reader on any thread shares the result.
+/// Nothing is derived when the snapshot is cut, so the router thread pays
+/// one small allocation per publish and no estimator work.
+///
+/// OnceLatch can be neither copied nor moved, so the latches live behind a
+/// pointer. A copy starts with an empty view (its members may be edited
+/// before it is read); a move carries the derived values along with the
+/// members they were derived from. A moved-from view holds nothing and
+/// must be assigned before it is read again.
+class SnapshotQueryView {
+ public:
+  struct Latches {
+    OnceLatch<double> self_join;
+    OnceLatch<KllSortedView> quantile;
+    OnceLatch<std::vector<KeyedKmvSketch::Entry>> subpop;
+  };
+
+  SnapshotQueryView() : latches_(std::make_unique<Latches>()) {}
+  SnapshotQueryView(const SnapshotQueryView&) : SnapshotQueryView() {}
+  SnapshotQueryView& operator=(const SnapshotQueryView&) {
+    latches_ = std::make_unique<Latches>();
+    return *this;
+  }
+  SnapshotQueryView(SnapshotQueryView&&) noexcept = default;
+  SnapshotQueryView& operator=(SnapshotQueryView&&) noexcept = default;
+
+  /// The latches: derived state of an otherwise immutable snapshot, the one
+  /// thing readers of a published snapshot write (src/service/snapshot.h).
+  Latches& latches() const { return *latches_; }
+
+ private:
+  std::unique_ptr<Latches> latches_;
+};
+
 /// One consistent engine snapshot, published at a quiesced chunk boundary:
 /// everything a query needs — the merged sketch over the kept prefix, the
 /// optional companions, and the realized counts the Prop 13/14 corrections
@@ -147,12 +188,29 @@ struct ShardEngineSnapshot {
   /// 1-based publication counter (0: engine state before any publish).
   uint64_t sequence = 0;
   double p = 1.0;         ///< shed rate in force when the snapshot was cut
+  /// Derived once per snapshot by its first reader (see SnapshotQueryView).
+  SnapshotQueryView view = {};
 
   /// Realized sampling rate p̂ over the covered prefix.
   double realized_p() const {
     return position > 0
                ? static_cast<double>(kept) / static_cast<double>(position)
                : p;
+  }
+
+  /// sketch.EstimateSelfJoin(), derived once.
+  double self_join() const {
+    return view.latches().self_join.Get(
+        [this] { return sketch.EstimateSelfJoin(); });
+  }
+  /// KllSortedView(*quantile), derived once; requires `quantile`.
+  const KllSortedView& quantile_view() const {
+    return view.latches().quantile.Get(
+        [this] { return KllSortedView(*quantile); });
+  }
+  /// subpop->Entries(), derived once; requires `subpop`.
+  const std::vector<KeyedKmvSketch::Entry>& subpop_entries() const {
+    return view.latches().subpop.Get([this] { return subpop->Entries(); });
   }
 };
 

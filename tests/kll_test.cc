@@ -114,5 +114,23 @@ TEST(KllQuantilesTest, MultiRankValidatesEveryRankAndEmptiness) {
             (std::vector<uint64_t>{7, 7, 7}));
 }
 
+TEST(KllQuantilesTest, SortedViewAnswersLikeTheSketch) {
+  KllSketch kll(32, 9);
+  for (uint64_t i = 0; i < 30000; ++i) kll.Update(MixSeed(6, i) % 5000);
+  const KllSortedView view(kll);
+  std::vector<double> qs = {0.0, 1.0, 1e-9, 1.0 - 1e-9};
+  for (int i = 1; i < 100; ++i) qs.push_back(i / 100.0);
+  EXPECT_EQ(view.Quantiles(qs), kll.EstimateQuantiles(qs));
+  EXPECT_TRUE(view.Quantiles({}).empty());
+  EXPECT_THROW(view.Quantiles({0.5, 1.5}), std::invalid_argument);
+
+  // A view of an empty sketch builds, and answers with the sketch's
+  // exceptions: ranks are checked before emptiness.
+  const KllSortedView empty{KllSketch(16, 1)};
+  EXPECT_THROW(empty.Quantiles({0.5}), std::invalid_argument);
+  EXPECT_THROW(empty.Quantiles({}), std::invalid_argument);
+  EXPECT_THROW(empty.Quantiles({std::nan("")}), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace sketchsample
