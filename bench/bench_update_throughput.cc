@@ -14,6 +14,8 @@
 // figure is time / kTuplesPerIteration.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -172,6 +174,65 @@ void BM_SelfJoinAnswer(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SelfJoinAnswer);
+
+class DroppingHook final : public ShardSnapshotHook<FagmsSketch> {
+ public:
+  void Publish(ShardEngineSnapshot<FagmsSketch>) override {}
+};
+
+// The fastest wall-clock rate of a hooked p = 1 ShardEngine::Run in
+// perfbench's shape (2 lanes, F-AGMS 3x5000 CW4, distinct and subpop
+// k = 1024, 2^21 Zipf tuples, a snapshot every 8192 tuples that the hook
+// drops), keyed by quantile_k: 200 folds every snapshot's 8192 kept tuples
+// into the KLL, 0 keeps no KLL. Measured once per process, in three
+// interleaved rounds: interference from the host only slows a run, and
+// interleaving keeps a slow stretch from landing on one side of the ratio
+// the rule reads.
+const std::map<size_t, double>& EngineSnapshotsP1Rates() {
+  static const std::map<size_t, double> rates = [] {
+    ZipfSampler sampler(kDomain, 1.0);
+    Xoshiro256 rng(14);
+    const std::vector<uint64_t> stream = sampler.Stream(size_t{1} << 21, rng);
+    SketchParams sketch;
+    sketch.rows = 3;
+    sketch.buckets = 5000;
+    sketch.scheme = XiScheme::kCw4;
+    sketch.seed = 11;
+    DroppingHook hook;
+    std::map<size_t, double> best;
+    for (int round = 0; round < 3; ++round) {
+      for (const size_t quantile_k : {size_t{200}, size_t{0}}) {
+        ShardEngineOptions options;
+        options.shards = 2;
+        options.shed_p = 1.0;
+        options.seed = 12;
+        options.distinct_k = 1024;
+        options.quantile_k = quantile_k;
+        options.subpop_k = 1024;
+        VectorSource source(stream);
+        ShardEngine<FagmsSketch> engine(FagmsSketch(sketch), options);
+        engine.SetSnapshotHook(&hook, 8192);
+        double& rate = best[quantile_k];
+        rate = std::max(rate, engine.Run(source).TuplesPerSecond());
+      }
+    }
+    return best;
+  }();
+  return rates;
+}
+
+// One point per quantile_k of the rates above. The first point's first
+// iteration makes the whole measurement, so ns_per_op is no per-run time.
+void BM_EngineSnapshotsP1(benchmark::State& state) {
+  const size_t quantile_k = static_cast<size_t>(state.range(0));
+  double rate = 0;
+  for (auto _ : state) rate = EngineSnapshotsP1Rates().at(quantile_k);
+  state.counters["items_per_second"] = rate;
+}
+BENCHMARK(BM_EngineSnapshotsP1)
+    ->Arg(200)
+    ->Arg(0)
+    ->Unit(benchmark::kMillisecond);
 
 // --------------------------------------------------------------------------
 // ISA-dispatched kernel series (src/prng/simd/). Registered dynamically so a

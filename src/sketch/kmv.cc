@@ -85,6 +85,12 @@ KeyedKmvSketch::KeyedKmvSketch(size_t k, uint64_t seed)
 void KeyedKmvSketch::Update(uint64_t key) {
   SKETCHSAMPLE_METRIC_INC("sketch.kmv.keyed_updates");
   const uint64_t h = MixSeed(seed_, key);
+  const bool full = entries_.size() >= k_;
+  // A full sketch retains no hash above its largest, and admits none: skip
+  // the search. An evicted key can never re-enter: its hash is above the
+  // threshold and the threshold only shrinks — which is what keeps retained
+  // weights exact.
+  if (full && h > entries_.rbegin()->first) return;
   const auto it = entries_.find(h);
   if (it != entries_.end()) {
     // Same hash implies same key (collisions are 2^-64 events, negligible
@@ -93,17 +99,9 @@ void KeyedKmvSketch::Update(uint64_t key) {
     ++it->second.weight;
     return;
   }
-  if (entries_.size() < k_) {
-    entries_.emplace(h, Entry{h, key, 1});
-    return;
-  }
-  const auto largest = std::prev(entries_.end());
-  if (h < largest->first) {
-    entries_.erase(largest);
-    entries_.emplace(h, Entry{h, key, 1});
-  }
-  // An evicted key can never re-enter: its hash is above the threshold and
-  // the threshold only shrinks — which is what keeps retained weights exact.
+  // Full: h lies below the largest retained hash, which it displaces.
+  if (full) entries_.erase(std::prev(entries_.end()));
+  entries_.emplace(h, Entry{h, key, 1});
 }
 
 double KeyedKmvSketch::EstimateDistinct() const {

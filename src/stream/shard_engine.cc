@@ -32,6 +32,7 @@ struct Chunk {
   uint64_t base = 0;   // absolute position of values[0]
   double p = 1.0;      // keep-probability for this chunk
   bool stop = false;   // shutdown sentinel: worker exits, buffer not recycled
+  bool fold = false;   // fold marker: lane 0 runs the KLL fold, not recycled
 };
 
 // A worker's feed into one partial sketch: an Operator, so the
@@ -131,15 +132,18 @@ uint64_t ShardSubpopSeed(uint64_t root_seed) {
 // fields (`seen`, `kept`, `partials`) after a quiesce: it spins until
 // `processed` (release-incremented by the worker after each chunk) catches
 // up with `routed`, and that acquire/release pair publishes everything the
-// worker wrote while processing.
+// worker wrote while processing. Lane 0 also runs the engine-level KLL fold
+// when the router routes it a fold marker; the same pair publishes the
+// fold (ShardEngine::AwaitFold).
 template <typename SketchT>
 struct ShardEngine<SketchT>::Lane {
   Lane(size_t ring_chunks, size_t chunk_tuples)
-      : work(ring_chunks), recycle(ring_chunks) {
-    // Data buffers match the ring capacity exactly, so a push to either
-    // ring always finds space: every buffer is in exactly one ring or in
-    // one thread's hands. The stop sentinel gets its own slot-free buffer
-    // (it is pushed only after a quiesce empties the work ring).
+      : recycle(ring_chunks), work(recycle.capacity() + 1) {
+    // Data buffers match the recycle ring's capacity exactly, and the work
+    // ring has one slot more, for a fold marker routed beside a full pool;
+    // so a push to either ring always finds space: every buffer is in
+    // exactly one ring or in one thread's hands. The stop sentinel gets its
+    // own slot-free buffer (the router spins until it fits).
     pool.reserve(recycle.capacity() + 1);
     for (size_t i = 0; i < recycle.capacity(); ++i) {
       pool.push_back(std::make_unique<Chunk>());
@@ -152,8 +156,10 @@ struct ShardEngine<SketchT>::Lane {
     stop_chunk = pool.back().get();
   }
 
-  // Worker thread body: pop, shed positionally, sketch, recycle.
-  void RunWorker(uint64_t root_seed) {
+  // Worker thread body: pop, shed positionally, sketch, recycle. A fold
+  // marker (only lane 0 is routed one) runs `fold` instead.
+  template <typename Fold>
+  void RunWorker(uint64_t root_seed, const Fold& fold) {
     Chunk* chunk = nullptr;
     while (true) {
       if (!work.TryPop(chunk)) {
@@ -161,6 +167,11 @@ struct ShardEngine<SketchT>::Lane {
         continue;
       }
       if (chunk->stop) break;
+      if (chunk->fold) {
+        fold();
+        processed.fetch_add(1, MemOrder::kRelease);
+        continue;  // the marker is not a buffer: never recycled
+      }
       seen += chunk->count;
       const PositionalBernoulliSampler sampler(chunk->p, root_seed);
       const size_t survivors =
@@ -184,8 +195,8 @@ struct ShardEngine<SketchT>::Lane {
     }
   }
 
-  SpscQueue<Chunk*> work;     // router -> worker: filled chunks
   SpscQueue<Chunk*> recycle;  // worker -> router: free buffers
+  SpscQueue<Chunk*> work;     // router -> worker: filled chunks, markers
   std::vector<std::unique_ptr<Chunk>> pool;
   Chunk* stop_chunk = nullptr;
 
@@ -196,13 +207,16 @@ struct ShardEngine<SketchT>::Lane {
   std::vector<Operator*> feeds;
   std::vector<std::unique_ptr<Operator>> stages;
   FaultInjectingOperator* faults = nullptr;  // this lane's, if any
-  // Quantile support: kept values awaiting the router's fold into the
-  // engine-level KLL, and their survivor count per chunk, both in the order
-  // this lane received the chunks. Worker-owned between quiesces; the
-  // router drains them in FoldQuantile.
+  // Quantile support: kept values awaiting the fold into the engine-level
+  // KLL, and their survivor count per chunk, both in the order this lane
+  // received the chunks. Worker-owned between quiesces. At a fold boundary
+  // the router swaps them with the empty fold buffers, which lane 0's
+  // FoldQuantile replays and clears before its marker counts as processed.
   bool collect_quantile = false;
   std::vector<uint64_t> qvalues;
   std::vector<size_t> qruns;
+  std::vector<uint64_t> fold_values;
+  std::vector<size_t> fold_runs;
   uint64_t seen = 0;  // worker-owned; router reads only after a quiesce
   uint64_t kept = 0;
   // Chunks fully processed; the release increment publishes seen/kept/
@@ -259,7 +273,6 @@ ShardEngine<SketchT>::ShardEngine(SketchT prototype,
   if (options_.controller != nullptr) {
     p_ = options_.controller->p();
   }
-  if (options_.quantile_fold_every == 0) options_.quantile_fold_every = 65536;
   ForEachSlot(slots_, [](auto& slot, auto) { slot.base = slot.proto; });
 }
 
@@ -365,8 +378,10 @@ void ShardEngine<SketchT>::WriteCheckpoint(
   // Flag bit 4 carries both the KLL blob and the per-shard subpop blobs.
   cp.has_quantile_subpop = quantile_.has_value() || cp.has_shard_subpop;
   if (quantile_.has_value()) {
-    // The engine-level KLL already covers the whole kept prefix — the Run
-    // loop folds every lane's pending runs before checkpointing.
+    // The Run loop hands every lane's pending runs to lane 0 before
+    // checkpointing; once that fold is done the KLL covers the whole kept
+    // prefix.
+    AwaitFold(lanes);
     cp.quantile = SerializeSketch(*quantile_);
   }
   if (options_.controller != nullptr) {
@@ -394,8 +409,10 @@ ShardEngineSnapshot<SketchT> ShardEngine<SketchT>::Cut(
   uint64_t kept = total_kept_;
   for (const auto& lane : lanes) kept += lane->kept;
   auto& [sketch, distinct, subpop] = merged;
-  // The KLL is folded through FoldQuantile before every cut, so the copy
-  // already covers the kept prefix up to `position` in position order.
+  // The Run loop hands every lane's pending runs to lane 0 before every
+  // cut; once that fold is done the copy covers the kept prefix up to
+  // `position` in position order.
+  AwaitFold(lanes);
   return {std::move(*sketch), std::move(distinct), quantile_, std::move(subpop),
           position, kept, snapshot_sequence_, p_};
 }
@@ -417,9 +434,7 @@ void ShardEngine<SketchT>::PublishSnapshot(
 
 template <typename SketchT>
 void ShardEngine<SketchT>::FoldQuantile(
-    const std::vector<std::unique_ptr<Lane>>& lanes, size_t first_lane,
-    ShardEngineStats& stats) {
-  if (!quantile_.has_value()) return;
+    const std::vector<std::unique_ptr<Lane>>& lanes, size_t first_lane) {
   // The router deals chunks round-robin in ascending stream position, and
   // `first_lane` got the first chunk since the last fold. Taking one run
   // from each lane in turn, until the lane whose turn it is has none left,
@@ -430,24 +445,29 @@ void ShardEngine<SketchT>::FoldQuantile(
   // irrelevant to the result).
   std::vector<size_t> next_run(lanes.size(), 0);
   std::vector<size_t> offset(lanes.size(), 0);
-  for (size_t s = first_lane; next_run[s] < lanes[s]->qruns.size();
+  for (size_t s = first_lane; next_run[s] < lanes[s]->fold_runs.size();
        s = s + 1 == lanes.size() ? 0 : s + 1) {
     const Lane& lane = *lanes[s];
-    const size_t run = lane.qruns[next_run[s]++];
+    const size_t run = lane.fold_runs[next_run[s]++];
     for (size_t i = offset[s]; i < offset[s] + run; ++i) {
-      quantile_->Update(lane.qvalues[i]);
+      quantile_->Update(lane.fold_values[i]);
     }
     offset[s] += run;
   }
-  size_t folded = 0;
   for (const auto& lane : lanes) {
-    folded += lane->qvalues.size();
-    lane->qvalues.clear();
-    lane->qruns.clear();
+    lane->fold_values.clear();
+    lane->fold_runs.clear();
   }
-  if (folded == 0) return;
-  ++stats.quantile_folds;
-  SKETCHSAMPLE_METRIC_INC("engine.shard.quantile_folds");
+}
+
+template <typename SketchT>
+void ShardEngine<SketchT>::AwaitFold(
+    const std::vector<std::unique_ptr<Lane>>& lanes) const {
+  if (lanes.empty()) return;
+  const Lane& lane = *lanes[0];
+  while (lane.processed.load(MemOrder::kAcquire) != lane.routed) {
+    std::this_thread::yield();
+  }
 }
 
 template <typename SketchT>
@@ -489,14 +509,35 @@ ShardEngineStats ShardEngine<SketchT>::Run(StreamSource& source) {
       lane.feeds.push_back(lane.stages.back().get());
     });
   }
+  // The engine-level KLL fold, run by lane 0 on a fold marker. The router
+  // writes `fold_first` before it routes the marker, and reads the lanes'
+  // fold buffers again only after a quiesce: the ring and `processed`
+  // order both hand-offs.
+  Chunk fold_marker;
+  fold_marker.fold = true;
+  size_t fold_first = 0;
+  const auto fold = [this, &lanes, &fold_first] {
+    FoldQuantile(lanes, fold_first);
+  };
   for (auto& lane : lanes) {
     Lane* raw = lane.get();
     const uint64_t seed = options_.seed;
-    raw->thread = std::thread([raw, seed] { raw->RunWorker(seed); });
+    raw->thread =
+        std::thread([raw, seed, &fold] { raw->RunWorker(seed, fold); });
   }
 
-  // Spins until every routed chunk is processed; afterwards the worker-side
-  // lane fields are safe to read (and each work ring is empty).
+  // Routes a chunk or the fold marker to `lane`. The work ring holds the
+  // lane's whole pool plus one marker, so a full ring means the buffer
+  // accounting is broken: fail rather than drop the item.
+  auto route = [](Lane& lane, Chunk* item) {
+    if (!lane.work.TryPush(item)) {
+      throw std::logic_error("ShardEngine lane work ring is full");
+    }
+    ++lane.routed;
+  };
+  // Spins until every routed chunk and fold marker is processed; afterwards
+  // the worker-side lane fields are safe to read (and each work ring is
+  // empty).
   auto quiesce = [&lanes, &stats] {
     for (auto& lane : lanes) {
       while (lane->processed.load(MemOrder::kAcquire) !=
@@ -544,9 +585,9 @@ ShardEngineStats ShardEngine<SketchT>::Run(StreamSource& source) {
   // on top (the fold point never changes the sketch state).
   const bool qfolding = quantile_.has_value();
   uint64_t next_qfold =
-      qfolding ? (total / options_.quantile_fold_every + 1) *
-                     options_.quantile_fold_every
-               : UINT64_MAX;
+      qfolding
+          ? (total / kShardQuantileFoldEvery + 1) * kShardQuantileFoldEvery
+          : UINT64_MAX;
   // Window deltas measure against the totals at the last tick: controller
   // totals on a resume (checkpoints need not align with windows, and the
   // restored counts sit at the checkpoint, not at the last tick), realized
@@ -569,9 +610,28 @@ ShardEngineStats ShardEngine<SketchT>::Run(StreamSource& source) {
   size_t rr = 0;
   // Lane dealt the first chunk since the last quantile fold.
   size_t fold_lane = 0;
-  auto fold_quantile = [&] {
-    FoldQuantile(lanes, fold_lane, stats);
+  // Lanes quiesced (or joined): swaps every lane's pending runs into its
+  // fold buffers, which the last fold left empty, and counts the fold.
+  auto take_runs = [&] {
+    size_t values = 0;
+    for (auto& lane : lanes) {
+      lane->qvalues.swap(lane->fold_values);
+      lane->qruns.swap(lane->fold_runs);
+      values += lane->fold_values.size();
+    }
+    fold_first = fold_lane;
     fold_lane = rr;
+    if (values == 0) return;
+    ++stats.quantile_folds;
+    SKETCHSAMPLE_METRIC_INC("engine.shard.quantile_folds");
+  };
+  // Lanes quiesced: hands the pending runs to lane 0, which folds them
+  // while the router cuts or routes on. One fold is in flight at most: the
+  // next hand-off follows a quiesce, which waits for this marker too.
+  auto hand_off_fold = [&] {
+    if (!qfolding) return;
+    take_runs();
+    route(*lanes[0], &fold_marker);
   };
 
   try {
@@ -620,8 +680,7 @@ ShardEngineStats ShardEngine<SketchT>::Run(StreamSource& source) {
       buffer->count = n;
       buffer->base = total;
       buffer->p = p_;
-      lane.work.TryPush(buffer);  // always fits: pool size == ring capacity
-      ++lane.routed;
+      route(lane, buffer);
       // Depth sampled once per routed chunk; divide by engine.shard.chunks
       // for the mean backlog a worker ran behind the router.
       SKETCHSAMPLE_METRIC_ADD("engine.shard.queue.depth_sum",
@@ -661,22 +720,24 @@ ShardEngineStats ShardEngine<SketchT>::Run(StreamSource& source) {
         next_window += window;
         window_timer.Start();
       }
-      if (qfolding && total >= next_qfold) {
-        quiesce();
-        fold_quantile();
-        next_qfold += options_.quantile_fold_every;
-      }
       if (checkpointing && total >= next_checkpoint) {
         quiesce();
-        fold_quantile();  // checkpoint covers the whole prefix
+        hand_off_fold();  // checkpoint covers the whole prefix
         WriteCheckpoint(lanes, total, stats);
         next_checkpoint += options_.checkpoint_every;
       }
       if (snapshotting && total >= next_snapshot) {
         quiesce();
-        fold_quantile();  // snapshot covers the whole prefix
+        hand_off_fold();  // snapshot covers the whole prefix
         PublishSnapshot(lanes, total, stats);
         next_snapshot += snapshot_every_;
+      }
+      // Last, so that where the fold cadence meets a checkpoint or snapshot
+      // boundary, the fold with the runs in it overlaps that cut.
+      if (qfolding && total >= next_qfold) {
+        quiesce();
+        hand_off_fold();
+        next_qfold += kShardQuantileFoldEvery;
       }
     }
   } catch (...) {
@@ -686,9 +747,12 @@ ShardEngineStats ShardEngine<SketchT>::Run(StreamSource& source) {
 
   stop_workers();
 
-  // Workers are joined (a full barrier), so the remaining quantile runs
-  // are safe to drain without a quiesce.
-  fold_quantile();
+  // Workers are joined (a full barrier), so the leftover quantile runs go
+  // through the same fold on this thread, without a quiesce.
+  if (qfolding) {
+    take_runs();
+    FoldQuantile(lanes, fold_first);
+  }
 
   // Merge stage: fold every partial into the restored base, in shard order
   // (order does not matter for the result — counter merges are exact sums

@@ -58,6 +58,11 @@
 
 namespace sketchsample {
 
+/// Fold cadence for the quantile run buffers (tuples; phase-locked to
+/// absolute stream offsets like windows). Bounds per-lane buffer memory;
+/// the fold boundary itself has no effect on the KLL state.
+inline constexpr uint64_t kShardQuantileFoldEvery = 65536;
+
 /// Configuration for one ShardEngine.
 struct ShardEngineOptions {
   /// Worker lanes; 0 is clamped to 1.
@@ -104,16 +109,14 @@ struct ShardEngineOptions {
   /// (quantile_k, ShardQuantileSeed(seed)) over the kept stream. KLL
   /// compaction is order-dependent, so per-lane partials would NOT be
   /// bit-exact across shard counts; instead each lane buffers its kept
-  /// values with one survivor count per chunk, and at quiesced boundaries
-  /// the router replays those runs into the single engine-level sketch in
-  /// the order it dealt the chunks, which is stream order. The KLL state is
-  /// then a pure function of the kept prefix in stream order — identical
-  /// at any shard count, chunking, or resume.
+  /// values with one survivor count per chunk. At every quiesced fold
+  /// boundary (snapshots, checkpoints, every kShardQuantileFoldEvery tuples
+  /// and the end of a run) the router hands those runs to lane 0, which
+  /// replays them into the single engine-level sketch in the order the
+  /// router dealt the chunks, which is stream order, while the router cuts
+  /// the snapshot. The KLL state is then a pure function of the kept prefix
+  /// in stream order — identical at any shard count, chunking, or resume.
   size_t quantile_k = 0;
-  /// Fold cadence for the quantile buffers (tuples; phase-locked to
-  /// absolute stream offsets like windows). Bounds per-lane buffer memory;
-  /// the fold boundary itself has no effect on the final sketch state.
-  uint64_t quantile_fold_every = 65536;
   /// Subpopulation queries: when > 0 every worker lane keeps a
   /// KeyedKmvSketch(subpop_k, ShardSubpopSeed(seed)) over the tuples
   /// surviving the positional shed (before fault injection, like
@@ -362,12 +365,18 @@ class ShardEngine {
   void PublishSnapshot(const std::vector<std::unique_ptr<Lane>>& lanes,
                        uint64_t total, ShardEngineStats& stats);
 
-  // Drains every lane's buffered kept runs into the engine-level KLL in
-  // the order the router dealt them, starting at `first_lane` (the lane
-  // dealt the first chunk since the last fold). Lanes must be quiesced (or
-  // joined). No-op when quantile queries are disabled.
+  // Replays every lane's fold buffers (the kept runs the router took at
+  // the last fold boundary) into the engine-level KLL in the order the
+  // router dealt them, starting at `first_lane` (the lane dealt the first
+  // chunk since the fold before), then empties them. Runs on lane 0's
+  // thread at a fold marker, and on the router once the lanes are joined.
   void FoldQuantile(const std::vector<std::unique_ptr<Lane>>& lanes,
-                    size_t first_lane, ShardEngineStats& stats);
+                    size_t first_lane);
+
+  // Spins until lane 0 has processed everything routed to it, the last
+  // fold marker included; the engine-level KLL is then safe to read. Not a
+  // quiesce: the other lanes are not waited for. No-op without lanes.
+  void AwaitFold(const std::vector<std::unique_ptr<Lane>>& lanes) const;
 
   ShardEngineOptions options_;
   PerSlot<Slot> slots_;
@@ -376,9 +385,10 @@ class ShardEngine {
   // continues from.
   uint64_t total_seen_ = 0;
   uint64_t total_kept_ = 0;
-  // Engine-level quantile sketch, fed in stream order by FoldQuantile (the
-  // router fold; KLL partials would not merge bit-exactly). Engaged iff
-  // options.quantile_k > 0.
+  // Engine-level quantile sketch, fed in stream order by FoldQuantile (run
+  // by lane 0 while the router cuts; KLL partials would not merge
+  // bit-exactly). Written only by the fold; the router reads it after
+  // AwaitFold. Engaged iff options.quantile_k > 0.
   std::optional<KllSketch> quantile_;
   ShardSnapshotHook<SketchT>* snapshot_hook_ = nullptr;
   uint64_t snapshot_every_ = 0;

@@ -91,5 +91,38 @@ TEST(KmvTest, MergeWithEmptyIsIdentity) {
   EXPECT_DOUBLE_EQ(a.EstimateDistinct(), before);
 }
 
+
+void ExpectSameEntries(const std::vector<KeyedKmvSketch::Entry>& got,
+                       const std::vector<KeyedKmvSketch::Entry>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].hash, want[i].hash) << i;
+    EXPECT_EQ(got[i].key, want[i].key) << i;
+    EXPECT_EQ(got[i].weight, want[i].weight) << i;
+  }
+}
+
+TEST(KeyedKmvTest, FullSketchSkipsKeysAboveThresholdButCountsTheThresholdKey) {
+  KeyedKmvSketch sketch(8, 11);
+  for (uint64_t key = 0; key < 1000; ++key) sketch.Update(key);
+  ASSERT_TRUE(sketch.saturated());
+  const std::vector<KeyedKmvSketch::Entry> before = sketch.Entries();
+  // Every key seen but not retained hashes above the threshold (the
+  // largest retained hash): feeding them again changes nothing.
+  for (uint64_t key = 0; key < 1000; ++key) {
+    bool retained = false;
+    for (const KeyedKmvSketch::Entry& entry : before) {
+      retained = retained || entry.key == key;
+    }
+    if (!retained) sketch.Update(key);
+  }
+  ExpectSameEntries(sketch.Entries(), before);
+  // The key whose hash is the threshold is retained, so it gains weight.
+  std::vector<KeyedKmvSketch::Entry> after = before;
+  ++after.back().weight;
+  sketch.Update(before.back().key);
+  ExpectSameEntries(sketch.Entries(), after);
+}
+
 }  // namespace
 }  // namespace sketchsample

@@ -71,6 +71,13 @@ struct EngineAnswer {
   uint64_t kept = 0;
 };
 
+// Every snapshot boundary folds the lanes' kept runs into the KLL; this
+// hook drops the snapshots and leaves the folds.
+class DroppingHook final : public ShardSnapshotHook<FagmsSketch> {
+ public:
+  void Publish(ShardEngineSnapshot<FagmsSketch>) override {}
+};
+
 // The full concurrent path — no shortcut around the engine.
 EngineAnswer RunThroughEngine(const std::vector<uint64_t>& stream, double p,
                               uint64_t root_seed, size_t shards = kShards) {
@@ -80,9 +87,10 @@ EngineAnswer RunThroughEngine(const std::vector<uint64_t>& stream, double p,
   opts.shed_p = p;
   opts.seed = root_seed;
   opts.quantile_k = kQuantileK;
-  opts.quantile_fold_every = 256;  // many folds per run: boundaries matter
   opts.subpop_k = kSubpopK;
   ShardEngine<FagmsSketch> engine(FagmsSketch(SmallFagms(root_seed)), opts);
+  DroppingHook hook;
+  engine.SetSnapshotHook(&hook, 256);  // many folds per run: boundaries matter
   VectorSource source(stream);
   const ShardEngineStats stats = engine.Run(source);
   EXPECT_TRUE(stats.ended);
