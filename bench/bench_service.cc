@@ -1,21 +1,14 @@
-// Service-path benchmark: ingest and query throughput of the full
-// query-serving stack (src/service/) — PushSource → ShardEngine with
-// phase-locked snapshot publication → RcuCell → HTTP server → hardened
-// parser → response builders — measured over real loopback sockets with
-// the keep-alive client the load driver uses.
+// Service-path benchmark: query latency of the full query-serving stack
+// (src/service/) — ShardEngine with phase-locked snapshot publication →
+// RcuCell → HTTP server → hardened parser → JSON answers — measured over
+// real loopback sockets with loadgen's keep-alive client. Ingest
+// throughput, and queries racing ingest, are perfbench's workloads
+// (perfbench/README.md); this bench keeps the two phases nothing else
+// measures, each its own report point:
 //
-// Three phases, each its own report point:
-//
-//   phase=ingest          tuples/sec through POST-path ingestion alone
-//                         (service.Push, no HTTP overhead), engine at
-//                         shed-p with snapshots publishing.
 //   phase=query           req/sec + p50/p90/p99 latency of the query mix
-//                         against a sealed snapshot (ingest closed).
-//   phase=mixed           both at once: a feeder thread cycles the stream
-//                         through ingest while query threads hammer the
-//                         endpoints — the SF-sketch "fat ingest stage,
-//                         slim query stage" claim, measured. Two points
-//                         (side=ingest / side=query).
+//                         against a sealed snapshot (ingest closed). Any
+//                         error fails the bench (exit 1).
 //   phase=overload        8× query threads against an admission-controlled,
 //                         deadline-enforcing server: goodput and
 //                         admitted-only tail latency while shedding, gated
@@ -23,12 +16,9 @@
 //                         bench_service.json.
 //
 // The bench gate consumes the report: updates_per_sec points aggregate
-// into the duration-weighted combined ingest+query throughput, and every
-// *_latency_ns metric gates per point (tools/gate.h).
-// lint:allow-file(raw-atomic-confined): benchmark worker coordination
-// across real OS threads over loopback sockets; measurement harness.
+// into the duration-weighted query throughput, and every *_latency_ns
+// metric gates per point (tools/gate.h).
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <thread>
@@ -146,6 +136,20 @@ QueryPhaseResult RunQueryPhase(int port, int threads, double seconds,
   return result;
 }
 
+// Pushes the whole stream, closes ingest and waits until the engine has
+// sealed its final snapshot.
+void IngestAll(SketchService& service, const std::vector<uint64_t>& stream) {
+  size_t sent = 0;
+  while (sent < stream.size()) {
+    sent += service.Push(stream.data() + sent,
+                         std::min<size_t>(4096, stream.size() - sent));
+  }
+  service.CloseIngest();
+  while (!service.ingest_done()) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+}
+
 SketchServiceOptions ServiceOptions(const Flags& flags) {
   SketchServiceOptions options;
   options.sketch.buckets = static_cast<size_t>(flags.GetInt("buckets"));
@@ -161,7 +165,7 @@ SketchServiceOptions ServiceOptions(const Flags& flags) {
 
 int Main(int argc, char** argv) {
   Flags flags;
-  flags.Define("tuples", "200000", "stream length for the ingest phases");
+  flags.Define("tuples", "200000", "stream ingested before each phase");
   flags.Define("domain", "100000", "zipf domain (also the point-key domain)");
   flags.Define("skew", "1.0", "zipf coefficient");
   flags.Define("buckets", "5000", "F-AGMS buckets");
@@ -195,37 +199,10 @@ int Main(int argc, char** argv) {
   report.SetConfig("shards", flags.GetDouble("shards"));
   report.SetConfig("shed_p", flags.GetDouble("shed_p"));
 
-  TablePrinter table(
-      {"phase", "tuples/s", "req/s", "p50 ns", "p99 ns", "errors"});
-
-  // ---- phase=ingest -------------------------------------------------------
-  {
-    SketchService service(ServiceOptions(flags));
-    service.Start();
-    const auto start = std::chrono::steady_clock::now();
-    size_t sent = 0;
-    while (sent < stream.size()) {
-      sent += service.Push(stream.data() + sent,
-                           std::min<size_t>(4096, stream.size() - sent));
-    }
-    service.CloseIngest();
-    while (!service.ingest_done()) {
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }
-    const double elapsed =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    const double rate =
-        elapsed > 0 ? static_cast<double>(tuples) / elapsed : 0;
-    report.AddPoint()
-        .Label("phase", "ingest")
-        .Metric("updates_per_sec", rate)
-        .Metric("seconds", elapsed);
-    table.AddRow({0, rate, 0, 0, 0, 0});
-    service.Stop();
-  }
+  TablePrinter table({"phase", "req/s", "p50 ns", "p99 ns", "errors"});
 
   // ---- phase=query --------------------------------------------------------
+  uint64_t query_errors = 0;
   {
     SketchService service(ServiceOptions(flags));
     Router router;
@@ -233,17 +210,10 @@ int Main(int argc, char** argv) {
     HttpServer server(&router, HttpServerOptions{});
     server.Start();
     service.Start();
-    size_t sent = 0;
-    while (sent < stream.size()) {
-      sent += service.Push(stream.data() + sent,
-                           std::min<size_t>(4096, stream.size() - sent));
-    }
-    service.CloseIngest();
-    while (!service.ingest_done()) {
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }
+    IngestAll(service, stream);
     const QueryPhaseResult result = RunQueryPhase(
         server.port(), threads, seconds, domain, MixSeed(seed, 0xbeef));
+    query_errors = result.errors;
     report.AddPoint()
         .Label("phase", "query")
         .Metric("updates_per_sec", result.qps())
@@ -253,69 +223,7 @@ int Main(int argc, char** argv) {
         .Metric("p50_latency_ns", static_cast<double>(result.p50_ns))
         .Metric("p90_latency_ns", static_cast<double>(result.p90_ns))
         .Metric("p99_latency_ns", static_cast<double>(result.p99_ns));
-    table.AddRow({1, 0, result.qps(), static_cast<double>(result.p50_ns),
-                  static_cast<double>(result.p99_ns),
-                  static_cast<double>(result.errors)});
-    server.Stop();
-    service.Stop();
-  }
-
-  // ---- phase=mixed --------------------------------------------------------
-  {
-    SketchService service(ServiceOptions(flags));
-    Router router;
-    service.Register(router);
-    HttpServer server(&router, HttpServerOptions{});
-    server.Start();
-    service.Start();
-    std::atomic<bool> stop{false};
-    std::atomic<uint64_t> fed{0};
-    // Cycles the stream through ingest at full speed for the whole query
-    // window; Push's backpressure keeps the feeder honest.
-    std::thread feeder([&] {
-      while (!stop.load(std::memory_order_relaxed)) {
-        size_t sent = 0;
-        while (sent < stream.size() &&
-               !stop.load(std::memory_order_relaxed)) {
-          const size_t accepted =
-              service.Push(stream.data() + sent,
-                           std::min<size_t>(4096, stream.size() - sent));
-          sent += accepted;
-          fed.fetch_add(accepted, std::memory_order_relaxed);
-        }
-      }
-    });
-    const auto start = std::chrono::steady_clock::now();
-    const QueryPhaseResult result = RunQueryPhase(
-        server.port(), threads, seconds, domain, MixSeed(seed, 0xcafe));
-    const double ingest_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    stop.store(true, std::memory_order_relaxed);
-    service.CloseIngest();  // unblocks a feeder stuck in Push
-    feeder.join();
-    const double ingest_rate =
-        ingest_seconds > 0
-            ? static_cast<double>(fed.load(std::memory_order_relaxed)) /
-                  ingest_seconds
-            : 0;
-    report.AddPoint()
-        .Label("phase", "mixed")
-        .Label("side", "ingest")
-        .Metric("updates_per_sec", ingest_rate)
-        .Metric("seconds", ingest_seconds);
-    report.AddPoint()
-        .Label("phase", "mixed")
-        .Label("side", "query")
-        .Metric("updates_per_sec", result.qps())
-        .Metric("seconds", result.seconds)
-        .Metric("requests", static_cast<double>(result.requests))
-        .Metric("errors", static_cast<double>(result.errors))
-        .Metric("p50_latency_ns", static_cast<double>(result.p50_ns))
-        .Metric("p90_latency_ns", static_cast<double>(result.p90_ns))
-        .Metric("p99_latency_ns", static_cast<double>(result.p99_ns));
-    table.AddRow({2, ingest_rate, result.qps(),
-                  static_cast<double>(result.p50_ns),
+    table.AddRow({0, result.qps(), static_cast<double>(result.p50_ns),
                   static_cast<double>(result.p99_ns),
                   static_cast<double>(result.errors)});
     server.Stop();
@@ -341,15 +249,7 @@ int Main(int argc, char** argv) {
     HttpServer server(&router, sopts);
     server.Start();
     service.Start();
-    size_t sent = 0;
-    while (sent < stream.size()) {
-      sent += service.Push(stream.data() + sent,
-                           std::min<size_t>(4096, stream.size() - sent));
-    }
-    service.CloseIngest();
-    while (!service.ingest_done()) {
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }
+    IngestAll(service, stream);
     const QueryPhaseResult result = RunQueryPhase(
         server.port(), threads * 8, seconds, domain, MixSeed(seed, 0xfade));
     report.AddPoint()
@@ -364,8 +264,7 @@ int Main(int argc, char** argv) {
         .Metric("p50_latency_ns", static_cast<double>(result.p50_ns))
         .Metric("p90_latency_ns", static_cast<double>(result.p90_ns))
         .Metric("p99_latency_ns", static_cast<double>(result.p99_ns));
-    table.AddRow({3, 0, result.goodput(),
-                  static_cast<double>(result.p50_ns),
+    table.AddRow({1, result.goodput(), static_cast<double>(result.p50_ns),
                   static_cast<double>(result.p99_ns),
                   static_cast<double>(result.errors)});
     server.Stop();
@@ -373,10 +272,18 @@ int Main(int argc, char** argv) {
   }
 
   std::printf(
-      "Service-path throughput (phase 0=ingest 1=query 2=mixed 3=overload "
-      "goodput; see file comment)\n");
+      "Service-path queries (phase 0=query 1=overload goodput; see file "
+      "comment)\n");
   table.Print();
-  return report.WriteFile(bench::ReportPathFromFlags(flags)) ? 0 : 1;
+  if (!report.WriteFile(bench::ReportPathFromFlags(flags))) return 1;
+  if (query_errors > 0) {
+    std::fprintf(stderr,
+                 "bench_service: the healthy query phase reported %llu "
+                 "error(s)\n",
+                 static_cast<unsigned long long>(query_errors));
+    return 1;
+  }
+  return 0;
 }
 
 }  // namespace

@@ -4,8 +4,11 @@
 // A checkpoint is a self-describing byte buffer capturing everything the
 // engine needs to resume bit-exactly after a crash: the absolute source
 // position, the adaptive controller's state, and a shard section holding
-// each worker's realized counts and partial sketch (reusing the
-// src/sketch/serialize wire format as embedded blobs). Because every
+// realized counts and sketches (reusing the src/sketch/serialize wire
+// format as embedded blobs). The engine writes one shard entry, its merged
+// cut, so the bytes do not depend on its worker count; the format carries
+// any number of entries, and a restore merges them all, so checkpoints
+// written with one entry per worker still load. Because every
 // component is a deterministic function of (seed, consumed prefix) —
 // shedding is positional, so no sampler RNG state exists to save —
 // restoring the states and fast-forwarding a freshly built source past
@@ -34,17 +37,17 @@
 // reads and writes it so committed blobs carrying it round-trip byte for
 // byte, and the engine refuses such a checkpoint (it has no shard section).
 //
-// Flag bit 3 (per-shard distinct blobs) extends the shard section with each
-// worker's auxiliary KMV distinct counter and is only valid together with
-// bit 2; checkpoints written before the service PR simply lack the bit and
+// Flag bit 3 (shard-entry distinct blobs) extends each shard entry with the
+// auxiliary KMV distinct counter and is only valid together with bit 2;
+// checkpoints written before the service existed simply lack the bit and
 // still load.
 //
 // Flag bit 4 (quantile/subpop section) carries the engine-level KLL
-// quantile sketch — a single blob, not per-shard, because the engine folds
-// kept tuples into it in stream-position order (src/stream/shard_engine.cc)
-// — and the per-worker keyed-KMV subpopulation sketches. Only valid
-// together with bit 2; older checkpoints simply lack the bit and still
-// load.
+// quantile sketch — a single blob outside the shard entries, because the
+// engine folds kept tuples into it in stream-position order
+// (src/stream/shard_engine.cc) — and one keyed-KMV subpopulation sketch
+// per shard entry. Only valid together with bit 2; older checkpoints
+// simply lack the bit and still load.
 //
 // Deserialization validates magic, version, flags, lengths, value ranges,
 // and the CRC32 footer, throwing CheckpointError on any mismatch — a
@@ -83,13 +86,15 @@ struct ShedOperatorState {
   Xoshiro256::State skip_rng{};
 };
 
-/// One shard's recoverable state inside a sharded-engine checkpoint
-/// (src/stream/shard_engine.h): the worker's realized counts and its
-/// partial sketch as an embedded src/sketch/serialize.h blob.
+/// One shard entry of a sharded-engine checkpoint
+/// (src/stream/shard_engine.h): realized counts and sketches as embedded
+/// src/sketch/serialize.h blobs. The engine writes one entry, its merged
+/// cut; older checkpoints carry one per worker, and a restore sums and
+/// merges the entries either way.
 struct ShardCheckpointState {
-  uint64_t seen = 0;            ///< tuples routed to this shard's worker
-  uint64_t kept = 0;            ///< tuples surviving the positional shed
-  std::vector<uint8_t> sketch;  ///< partial sketch blob (may be empty)
+  uint64_t seen = 0;            ///< tuples this entry covers
+  uint64_t kept = 0;            ///< of those, tuples surviving the shed
+  std::vector<uint8_t> sketch;  ///< primary sketch blob (may be empty)
   /// Auxiliary KMV distinct-counter blob (flag bit 3; may be empty). Rides
   /// next to the primary sketch so a resumed engine keeps answering
   /// distinct-count queries over exactly the positionally-kept prefix.
@@ -108,10 +113,11 @@ struct PipelineCheckpoint {
   bool has_controller = false;
   ShedController::State controller{};
   /// Sharded-engine section (flag bit 2). `shard_p` is the positional shed
-  /// rate in force at the snapshot; `shards` holds one entry per worker.
-  /// Because the engine's sampling is positional (partition-independent),
-  /// a restore may merge all shard partials into any new shard layout —
-  /// resume is bit-exact at any shard count.
+  /// rate in force at the snapshot; `shards` holds the engine's one merged
+  /// entry (older checkpoints: one entry per worker). Because the engine's
+  /// sampling is positional (partition-independent), a restore may merge
+  /// all entries into any new shard layout — resume is bit-exact at any
+  /// shard count.
   bool has_shards = false;
   double shard_p = 1.0;
   std::vector<ShardCheckpointState> shards;
@@ -120,8 +126,8 @@ struct PipelineCheckpoint {
   bool has_shard_distinct = false;
   /// Quantile/subpop section (flag bit 4, requires has_shards). `quantile`
   /// is the engine-level KLL blob (empty when quantile queries are
-  /// disabled); `has_shard_subpop` marks per-shard keyed-KMV blobs in the
-  /// shard entries' `subpop` fields.
+  /// disabled); `has_shard_subpop` marks keyed-KMV blobs in the shard
+  /// entries' `subpop` fields.
   bool has_quantile_subpop = false;
   std::vector<uint8_t> quantile;
   bool has_shard_subpop = false;

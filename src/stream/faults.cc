@@ -133,40 +133,28 @@ size_t FaultInjectingSource::PullChunk(uint64_t* out, size_t max_n) {
   return n;
 }
 
-FaultInjectingOperator::FaultInjectingOperator(Operator* downstream,
-                                               const FaultProfile& profile,
-                                               uint64_t seed)
-    : downstream_(downstream), profile_(profile), rng_(seed) {}
-
-FaultInjectingOperator::FaultInjectingOperator(Operator* downstream,
-                                               const FaultProfile& profile,
+FaultInjectingOperator::FaultInjectingOperator(const FaultProfile& profile,
                                                uint64_t seed,
                                                std::string shard_label)
-    : downstream_(downstream),
-      profile_(profile),
-      rng_(seed),
-      shard_label_(std::move(shard_label)) {}
+    : profile_(profile), rng_(seed), shard_label_(std::move(shard_label)) {}
 
 void FaultInjectingOperator::CountFault() {
   faults_ += 1;
-  if (!metrics::Enabled()) return;
-  // Per-instance counters cannot go through SKETCHSAMPLE_METRIC_* (its
+  if (shard_label_.empty() || !metrics::Enabled()) return;
+  // A per-instance counter cannot go through SKETCHSAMPLE_METRIC_* (its
   // function-local static would pin the first instance's label for every
-  // later one), so resolve registry references directly and cache them in
+  // later one), so resolve the registry reference directly and cache it in
   // the member, not in a static.
-  if (total_counter_ == nullptr) {
-    metrics::Registry& registry = metrics::Registry::Global();
-    total_counter_ = &registry.GetCounter("stream.faults.injected");
-    if (!shard_label_.empty()) {
-      shard_counter_ =
-          &registry.GetCounter("stream.faults.injected." + shard_label_);
-    }
+  if (shard_counter_ == nullptr) {
+    shard_counter_ = &metrics::Registry::Global().GetCounter(
+        "stream.faults.injected." + shard_label_);
   }
-  total_counter_->Add(1);
-  if (shard_counter_ != nullptr) shard_counter_->Add(1);
+  shard_counter_->Add(1);
 }
 
-void FaultInjectingOperator::OnTuples(const uint64_t* values, size_t n) {
+const std::vector<uint64_t>& FaultInjectingOperator::OnTuples(
+    const uint64_t* values, size_t n) {
+  const uint64_t faults_before = faults_;
   scratch_.clear();
   scratch_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
@@ -188,7 +176,8 @@ void FaultInjectingOperator::OnTuples(const uint64_t* values, size_t n) {
       CountFault();
     }
   }
-  if (!scratch_.empty()) downstream_->OnTuples(scratch_.data(), scratch_.size());
+  SKETCHSAMPLE_METRIC_ADD("stream.faults.injected", faults_ - faults_before);
+  return scratch_;
 }
 
 uint64_t FaultSeedFromEnv(uint64_t fallback) {

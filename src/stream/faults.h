@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "src/stream/operators.h"
 #include "src/stream/source.h"
 #include "src/util/metrics.h"
 #include "src/util/rng.h"
@@ -91,44 +90,44 @@ class FaultInjectingSource final : public StreamSource {
   bool dead_ = false;
 };
 
-/// Wraps an Operator and injects tuple-level faults on the push path
-/// (corrupt / duplicate / reorder; positional faults belong to the source).
+/// Injects tuple-level faults into the chunks a worker pushes to its
+/// sketch (corrupt / duplicate / reorder; positional faults belong to the
+/// source). It owns no downstream: OnTuples returns the faulted chunk and
+/// the caller feeds it on.
 ///
-/// Metrics: every injected fault increments the process-wide
-/// "stream.faults.injected" counter. When the operator is given a shard
-/// label (the sharded engine instantiates one wrapper per worker), the
-/// fault additionally increments "stream.faults.injected.<label>" — so the
-/// global counter stays the exact sum of the per-shard ones no matter how
-/// chunks were routed. The counters are resolved through the registry
-/// explicitly rather than via SKETCHSAMPLE_METRIC_*: the macro caches one
-/// function-local Counter reference per call site, which would alias every
-/// instance's per-shard counter to whichever label arrived first.
-class FaultInjectingOperator final : public Operator {
+/// Metrics: every injected fault counts toward the process-wide
+/// "stream.faults.injected" counter, added once per chunk. When the
+/// operator is given a shard label (the sharded engine instantiates one per
+/// worker), each fault additionally increments
+/// "stream.faults.injected.<label>" — so the global counter stays the exact
+/// sum of the per-shard ones no matter how chunks were routed. The
+/// per-shard counter is resolved through the registry explicitly rather
+/// than via SKETCHSAMPLE_METRIC_*: the macro caches one function-local
+/// Counter reference per call site, which would alias every instance's
+/// per-shard counter to whichever label arrived first.
+class FaultInjectingOperator final {
  public:
-  /// `downstream` must outlive this wrapper.
-  FaultInjectingOperator(Operator* downstream, const FaultProfile& profile,
-                         uint64_t seed);
-  /// Same, tagged with a per-shard metric label (e.g. "shard3").
-  FaultInjectingOperator(Operator* downstream, const FaultProfile& profile,
-                         uint64_t seed, std::string shard_label);
+  /// `shard_label` tags the per-shard metric (e.g. "shard3"); empty for
+  /// none.
+  FaultInjectingOperator(const FaultProfile& profile, uint64_t seed,
+                         std::string shard_label = "");
 
-  void OnTuples(const uint64_t* values, size_t n) override;
+  /// Faults one chunk. The returned chunk stays valid until the next call.
+  const std::vector<uint64_t>& OnTuples(const uint64_t* values, size_t n);
 
   uint64_t faults_injected() const { return faults_; }
 
  private:
   void CountFault();
 
-  Operator* downstream_;
   FaultProfile profile_;
   Xoshiro256 rng_;
   std::vector<uint64_t> scratch_;
   uint64_t faults_ = 0;
   std::string shard_label_;
-  // Registry counters, resolved on the first fault with metrics enabled
-  // (GetCounter takes a lock; faults are rare enough that resolving lazily
-  // keeps the no-fault path allocation-free).
-  metrics::Counter* total_counter_ = nullptr;
+  // Per-shard registry counter, resolved on the first fault with metrics
+  // enabled (GetCounter takes a lock; faults are rare enough that resolving
+  // lazily keeps the no-fault path allocation-free).
   metrics::Counter* shard_counter_ = nullptr;
 };
 

@@ -35,25 +35,16 @@ struct Chunk {
   bool fold = false;   // fold marker: lane 0 runs the KLL fold, not recycled
 };
 
-// A worker's feed into one partial sketch: an Operator, so the
-// fault-injection wrapper (also an Operator) can sit in front of it. One
-// virtual call per chunk; the per-tuple loop runs at the concrete type,
-// through the sketch's widest interface.
-template <typename SketchT>
-class SketchSinkOp final : public Operator {
- public:
-  explicit SketchSinkOp(SketchT* sketch) : sketch_(sketch) {}
-  void OnTuples(const uint64_t* values, size_t n) override {
-    if constexpr (requires { sketch_->UpdateBatch(values, n); }) {
-      sketch_->UpdateBatch(values, n);
-    } else {
-      for (size_t i = 0; i < n; ++i) sketch_->Update(values[i]);
-    }
+// Feeds one chunk to a lane partial through the sketch's widest interface,
+// at its concrete type.
+template <typename T>
+void UpdateChunk(T& sketch, const uint64_t* values, size_t n) {
+  if constexpr (requires { sketch.UpdateBatch(values, n); }) {
+    sketch.UpdateBatch(values, n);
+  } else {
+    for (size_t i = 0; i < n; ++i) sketch.Update(values[i]);
   }
-
- private:
-  SketchT* sketch_;
-};
+}
 
 // Typed deserializer of each primary sketch type (overload set in place of
 // a traits class).
@@ -186,9 +177,21 @@ struct ShardEngine<SketchT>::Lane {
         qruns.push_back(survivors);
       }
       if (survivors > 0) {
-        for (Operator* feed : feeds) {
-          feed->OnTuples(chunk->values.data(), survivors);
-        }
+        // Slot order. The primary (slot 0) takes the fault stage's output
+        // when the lane has one; the companions take the survivors as kept
+        // (they describe the sampled stream, not what a faulty sink saw).
+        ForEachSlot(partials, [&](auto& partial, auto i) {
+          if (!partial.has_value()) return;
+          if constexpr (i == 0) {
+            if (faults.has_value()) {
+              const std::vector<uint64_t>& faulted =
+                  faults->OnTuples(chunk->values.data(), survivors);
+              UpdateChunk(*partial, faulted.data(), faulted.size());
+              return;
+            }
+          }
+          UpdateChunk(*partial, chunk->values.data(), survivors);
+        });
       }
       processed.fetch_add(1, MemOrder::kRelease);
       recycle.TryPush(chunk);
@@ -202,11 +205,8 @@ struct ShardEngine<SketchT>::Lane {
 
   // One partial per slot, engaged iff the slot is (ShardEngine::slots_).
   PerSlot<std::optional> partials;
-  // Where the survivors go, one entry per enabled slot: the partial's
-  // SketchSinkOp, or the fault stage in front of it (`stages` owns both).
-  std::vector<Operator*> feeds;
-  std::vector<std::unique_ptr<Operator>> stages;
-  FaultInjectingOperator* faults = nullptr;  // this lane's, if any
+  // This lane's fault stage in front of the primary partial, if any.
+  std::optional<FaultInjectingOperator> faults;
   // Quantile support: kept values awaiting the fold into the engine-level
   // KLL, and their survivor count per chunk, both in the order this lane
   // received the chunks. Worker-owned between quiesces. At a fold boundary
@@ -236,21 +236,17 @@ ShardEngine<SketchT>::ShardEngine(SketchT prototype,
                                   const ShardEngineOptions& options)
     : options_(options),
       // The slot table: everything the engine does with a lane-partial
-      // sketch follows from these rows. Companions see the shed survivors
-      // before the fault stage (they describe the sampled stream, not what
-      // a faulty sink saw); the primary sees them after it.
+      // sketch follows from these rows.
       slots_{Slot<SketchT>{.noun = "sketch",
                            .section = &PipelineCheckpoint::has_shards,
                            .blob = &ShardCheckpointState::sketch,
                            .deserialize = Deserializer(prototype),
-                           .after_faults = true,
                            .proto = std::move(prototype)},
              Slot<KmvSketch>{
                  .noun = "distinct",
                  .section = &PipelineCheckpoint::has_shard_distinct,
                  .blob = &ShardCheckpointState::distinct,
                  .deserialize = &DeserializeKmv,
-                 .after_faults = false,
                  .proto = Companion<KmvSketch>(
                      options.distinct_k, ShardDistinctSeed(options.seed))},
              Slot<KeyedKmvSketch>{
@@ -258,7 +254,6 @@ ShardEngine<SketchT>::ShardEngine(SketchT prototype,
                  .section = &PipelineCheckpoint::has_shard_subpop,
                  .blob = &ShardCheckpointState::subpop,
                  .deserialize = &DeserializeKmvKeyed,
-                 .after_faults = false,
                  .proto = Companion<KeyedKmvSketch>(
                      options.subpop_k, ShardSubpopSeed(options.seed))}},
       p_(options.shed_p),
@@ -344,43 +339,39 @@ void ShardEngine<SketchT>::Restore(const PipelineCheckpoint& cp,
 }
 
 template <typename SketchT>
+uint64_t ShardEngine<SketchT>::KeptTotal(
+    const std::vector<std::unique_ptr<Lane>>& lanes) const {
+  uint64_t kept = total_kept_;
+  for (const auto& lane : lanes) kept += lane->kept;
+  return kept;
+}
+
+template <typename SketchT>
 void ShardEngine<SketchT>::WriteCheckpoint(
     const std::vector<std::unique_ptr<Lane>>& lanes, uint64_t total,
     ShardEngineStats& stats) const {
+  // One shard entry holds the cut: the bases with every lane's partial
+  // merged in, so the bytes depend on the stream, not on the lane count.
   PipelineCheckpoint cp;
   cp.source_tuples = total;
   cp.has_shards = true;
   cp.shard_p = p_;
-  cp.shards.resize(lanes.size());
-  for (size_t s = 0; s < lanes.size(); ++s) {
-    cp.shards[s].seen = lanes[s]->seen;
-    cp.shards[s].kept = lanes[s]->kept;
-  }
-  // The restored base (prior runs / prior shard layouts, not yet merged
-  // with any lane) rides in shard 0's entry so a second kill-and-resume
-  // still covers the whole prefix.
-  cp.shards[0].seen += total_seen_;
-  cp.shards[0].kept += total_kept_;
+  ShardCheckpointState& cut = cp.shards.emplace_back();
+  cut.seen = total;
+  cut.kept = KeptTotal(lanes);
   ForEachSlot(slots_, [&](const auto& slot, auto i) {
     if (!slot.base.has_value()) return;
     cp.*slot.section = true;
-    for (size_t s = 0; s < lanes.size(); ++s) {
-      const auto& partial = *std::get<i>(lanes[s]->partials);
-      if (s == 0) {
-        auto with_base = *slot.base;
-        with_base.Merge(partial);
-        cp.shards[s].*slot.blob = SerializeSketch(with_base);
-      } else {
-        cp.shards[s].*slot.blob = SerializeSketch(partial);
-      }
-    }
+    auto merged = *slot.base;
+    for (const auto& lane : lanes) merged.Merge(*std::get<i>(lane->partials));
+    cut.*slot.blob = SerializeSketch(merged);
   });
-  // Flag bit 4 carries both the KLL blob and the per-shard subpop blobs.
+  // Flag bit 4 carries both the KLL blob and the subpop blob.
   cp.has_quantile_subpop = quantile_.has_value() || cp.has_shard_subpop;
   if (quantile_.has_value()) {
     // The Run loop hands every lane's pending runs to lane 0 before
-    // checkpointing; once that fold is done the KLL covers the whole kept
-    // prefix.
+    // checkpointing, and the slots above were merged while lane 0 folded;
+    // once that fold is done the KLL covers the whole kept prefix.
     AwaitFold(lanes);
     cp.quantile = SerializeSketch(*quantile_);
   }
@@ -406,15 +397,13 @@ ShardEngineSnapshot<SketchT> ShardEngine<SketchT>::Cut(
     if (!sketch.has_value()) return;
     for (const auto& lane : lanes) sketch->Merge(*std::get<i>(lane->partials));
   });
-  uint64_t kept = total_kept_;
-  for (const auto& lane : lanes) kept += lane->kept;
   auto& [sketch, distinct, subpop] = merged;
   // The Run loop hands every lane's pending runs to lane 0 before every
   // cut; once that fold is done the copy covers the kept prefix up to
   // `position` in position order.
   AwaitFold(lanes);
   return {std::move(*sketch), std::move(distinct), quantile_, std::move(subpop),
-          position, kept, snapshot_sequence_, p_};
+          position, KeptTotal(lanes), snapshot_sequence_, p_};
 }
 
 template <typename SketchT>
@@ -493,21 +482,14 @@ ShardEngineStats ShardEngine<SketchT>::Run(StreamSource& source) {
     Lane& lane = *lanes.back();
     lane.collect_quantile = quantile_.has_value();
     ForEachSlot(slots_, [&](const auto& slot, auto i) {
-      auto& partial = std::get<i>(lane.partials);
-      partial = slot.proto;
-      if (!partial.has_value()) return;
-      using T = std::remove_cvref_t<decltype(*partial)>;
-      lane.stages.push_back(std::make_unique<SketchSinkOp<T>>(&*partial));
-      if (faulty && slot.after_faults) {
-        auto faults = std::make_unique<FaultInjectingOperator>(
-            lane.stages.back().get(), *options_.fault_profile,
-            MixSeed(options_.fault_seed, static_cast<uint64_t>(s)),
-            "shard" + std::to_string(s));
-        lane.faults = faults.get();
-        lane.stages.push_back(std::move(faults));
-      }
-      lane.feeds.push_back(lane.stages.back().get());
+      std::get<i>(lane.partials) = slot.proto;
     });
+    if (faulty) {
+      lane.faults.emplace(
+          *options_.fault_profile,
+          MixSeed(options_.fault_seed, static_cast<uint64_t>(s)),
+          "shard" + std::to_string(s));
+    }
   }
   // The engine-level KLL fold, run by lane 0 on a fold marker. The router
   // writes `fold_first` before it routes the marker, and reads the lanes'
@@ -560,13 +542,6 @@ ShardEngineStats ShardEngine<SketchT>::Run(StreamSource& source) {
       if (lane->thread.joinable()) lane->thread.join();
     }
   };
-  // Total kept across the restored base and every lane; quiesced only.
-  auto kept_total = [this, &lanes] {
-    uint64_t kept = total_kept_;
-    for (const auto& lane : lanes) kept += lane->kept;
-    return kept;
-  };
-
   // Absolute stream position; window/checkpoint boundaries are phase-locked
   // to it, so a resumed engine makes the same control decisions at the same
   // offsets as an uninterrupted one.
@@ -693,7 +668,7 @@ ShardEngineStats ShardEngine<SketchT>::Run(StreamSource& source) {
 
       if (adaptive && total >= next_window) {
         quiesce();
-        const uint64_t cur_kept = kept_total();
+        const uint64_t cur_kept = KeptTotal(lanes);
         const uint64_t offered = total - window_seen_base;
         const uint64_t kept = cur_kept - window_kept_base;
         window_seen_base = total;
@@ -766,7 +741,7 @@ ShardEngineStats ShardEngine<SketchT>::Run(StreamSource& source) {
     stats.shard_tuples.push_back(lane->seen);
     stats.shard_kept.push_back(lane->kept);
     stats.shard_faults.push_back(
-        lane->faults != nullptr ? lane->faults->faults_injected() : 0);
+        lane->faults.has_value() ? lane->faults->faults_injected() : 0);
     run_kept += lane->kept;
     ++stats.merges;
   }

@@ -31,11 +31,13 @@
 // keeps budget runs a pure function of the stream at any scheduling.
 //
 // Checkpoint/recovery: at quiesced chunk boundaries (router waits until
-// every routed chunk is processed) the engine snapshots per-shard state —
-// realized counts plus each partial sketch — into the checkpoint's
-// shard section (src/stream/checkpoint.h, flag bit 2). Restore merges all
-// shard partials into the engine's base sketch, so a kill-and-resume is
-// bit-exact even when the resumed engine runs a different shard count. The
+// every routed chunk is processed) the engine writes the merged cut — the
+// realized counts and every sketch with all lane partials merged in — as
+// the one entry of the checkpoint's shard section (src/stream/checkpoint.h,
+// flag bit 2), so the bytes do not depend on the shard count. Restore
+// merges however many entries it finds into the engine's base sketches, so
+// a kill-and-resume is bit-exact at any shard count, from this writer's
+// checkpoints and from older ones with one entry per shard alike. The
 // positional sampler is stateless, so no RNG state needs checkpointing.
 #ifndef SKETCHSAMPLE_STREAM_SHARD_ENGINE_H_
 #define SKETCHSAMPLE_STREAM_SHARD_ENGINE_H_
@@ -89,7 +91,7 @@ struct ShardEngineOptions {
   /// not hang the engine.
   uint64_t stall_retries = 64;
   /// Checkpointing: every checkpoint_every tuples (at the next quiesced
-  /// chunk boundary), snapshot per-shard state into checkpoint_sink.
+  /// chunk boundary), write the merged engine state to checkpoint_sink.
   CheckpointSink* checkpoint_sink = nullptr;
   uint64_t checkpoint_every = 0;
   /// Per-worker push-path fault injection (corrupt/duplicate/reorder after
@@ -332,17 +334,17 @@ class ShardEngine {
   struct Lane;  // worker lane: rings, thread, partials (shard_engine.cc)
 
   // A sketch every lane keeps a partial of, merged by union: the primary
-  // sketch and the KMV-style companions. A slot names how its sketch is
-  // built (the prototype every partial and base copies), where it rides in
-  // a checkpoint, how it loads, and what it sees; each lane-partial
-  // operation of the engine is one loop over slots_.
+  // sketch (slot 0, the one the fault stage feeds) and the KMV-style
+  // companions. A slot names how its sketch is built (the prototype every
+  // partial and base copies), where it rides in a checkpoint and how it
+  // loads; each lane-partial operation of the engine is one loop over
+  // slots_.
   template <typename T>
   struct Slot {
     const char* noun;  // names the sketch in CheckpointError messages
     bool PipelineCheckpoint::*section;                 // its flag bit
-    std::vector<uint8_t> ShardCheckpointState::*blob;  // one per shard
+    std::vector<uint8_t> ShardCheckpointState::*blob;  // in each entry
     T (*deserialize)(const std::vector<uint8_t>&);
-    bool after_faults;  // fed through the fault stage, not before it
     std::optional<T> proto;   // engaged iff the slot is enabled
     std::optional<T> base{};  // restored base, then Run's merged result
   };
@@ -350,13 +352,18 @@ class ShardEngine {
   template <template <typename> class Of>
   using PerSlot = std::tuple<Of<SketchT>, Of<KmvSketch>, Of<KeyedKmvSketch>>;
 
+  // The kept total across the restored base and every lane; lanes
+  // quiesced (or joined).
+  uint64_t KeptTotal(const std::vector<std::unique_ptr<Lane>>& lanes) const;
+
   // The bases with every lane's partials merged in, at absolute position
   // `position`, as a snapshot stamped with the current sequence number.
   ShardEngineSnapshot<SketchT> Cut(
       const std::vector<std::unique_ptr<Lane>>& lanes,
       uint64_t position) const;
 
-  // Builds one checkpoint at absolute position `total` from quiesced lanes.
+  // Builds one checkpoint at absolute position `total` from quiesced lanes:
+  // each slot's merged blob before it waits for lane 0's fold, then the KLL.
   void WriteCheckpoint(const std::vector<std::unique_ptr<Lane>>& lanes,
                        uint64_t total, ShardEngineStats& stats) const;
 

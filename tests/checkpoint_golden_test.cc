@@ -15,15 +15,20 @@
 //   kll_k200_long.sksa       k=200 after 2^20 updates (13 levels)
 //   kll_k200_merge.sksa      Merge of two such sketches
 //
-// The recipes above build every section by hand. Two more goldens pin what
-// ShardEngine itself writes and answers, in the service benchmark's shape
-// (F-AGMS 3x5000 CW4, 2 shards at p = 0.25, KMV and keyed-KMV k = 1024,
-// KLL k = 200) over a fixed Zipf(1.0) stream:
+// The recipes above build every section by hand. Three more goldens pin
+// what ShardEngine itself writes and answers, in the service benchmark's
+// shape (F-AGMS 3x5000 CW4, 2 shards at p = 0.25, KMV and keyed-KMV
+// k = 1024, KLL k = 200) over a fixed Zipf(1.0) stream:
 //
-//   v1_engine.skcp           the engine's latest checkpoint, mid-stream
+//   v1_engine_cut.skcp       the engine's latest checkpoint, mid-stream:
+//                            one shard entry holding the merged cut
 //   engine_answers.txt       "<target> <body>" per answer of the sealed
 //                            final state: selfjoin, 5 points, distinct,
 //                            4 quantiles, 3 subpops, and a join
+//   v1_engine.skcp           the same checkpoint as the engine wrote it
+//                            while it kept one entry per shard (2 entries);
+//                            no longer regenerated, kept as a resume input
+//                            and for the directory round-trip
 //
 // Each golden is regenerated in-process from a deterministic recipe and
 // must match the committed file byte for byte; deserializing the file and
@@ -322,7 +327,7 @@ std::vector<uint8_t> UninterruptedEngineAnswers() {
 }
 
 const SketchGoldenCase kEngineGoldens[] = {
-    {"v1_engine.skcp", EngineCheckpointBlob},
+    {"v1_engine_cut.skcp", EngineCheckpointBlob},
     {"engine_answers.txt", UninterruptedEngineAnswers},
 };
 
@@ -462,22 +467,26 @@ TEST(EngineGoldenTest, CommittedBytesMatchEngineOutput) {
   }
 }
 
-// Resuming from the committed mid-stream checkpoint, at a shard count other
-// than the writer's, reproduces the uninterrupted run's committed answers.
+// Resuming from either committed mid-stream checkpoint — the merged cut or
+// the older one-entry-per-shard form — at a shard count other than the
+// writer's, reproduces the uninterrupted run's committed answers.
 TEST(EngineGoldenTest, ResumeFromCommittedCheckpointReproducesAnswers) {
-  const PipelineCheckpoint cp =
-      DeserializeCheckpoint(ReadFileBytes(GoldenPath("v1_engine.skcp")));
-  ASSERT_EQ(cp.source_tuples, 2 * kEngineCheckpointEvery);
   const std::vector<uint8_t> answers =
       ReadFileBytes(GoldenPath("engine_answers.txt"));
-  for (const size_t shards : {1u, 3u}) {
-    SCOPED_TRACE(shards);
-    ShardEngine<FagmsSketch> engine(FagmsSketch(EngineSketchParams()),
-                                    EngineOptions(shards));
-    VectorSource source(ZipfStream(1, kEngineTuples));
-    engine.Restore(cp, source);
-    engine.Run(source);
-    EXPECT_EQ(EngineAnswers(engine), answers);
+  for (const char* file : {"v1_engine_cut.skcp", "v1_engine.skcp"}) {
+    SCOPED_TRACE(file);
+    const PipelineCheckpoint cp =
+        DeserializeCheckpoint(ReadFileBytes(GoldenPath(file)));
+    ASSERT_EQ(cp.source_tuples, 2 * kEngineCheckpointEvery);
+    for (const size_t shards : {1u, 3u}) {
+      SCOPED_TRACE(shards);
+      ShardEngine<FagmsSketch> engine(FagmsSketch(EngineSketchParams()),
+                                      EngineOptions(shards));
+      VectorSource source(ZipfStream(1, kEngineTuples));
+      engine.Restore(cp, source);
+      engine.Run(source);
+      EXPECT_EQ(EngineAnswers(engine), answers);
+    }
   }
 }
 

@@ -11,7 +11,6 @@
 
 #include "src/sketch/fagms.h"
 #include "src/stream/faults.h"
-#include "src/stream/operators.h"
 #include "src/stream/shard_engine.h"
 #include "src/stream/source.h"
 
@@ -60,15 +59,6 @@ ShardEngineStats RunEngine(StreamSource& source, size_t chunk,
   ShardEngine<FagmsSketch> engine(FagmsSketch(params), opts);
   return engine.Run(source);
 }
-
-// Records every tuple pushed into it.
-class RecordingOperator final : public Operator {
- public:
-  void OnTuples(const uint64_t* values, size_t n) override {
-    seen.insert(seen.end(), values, values + n);
-  }
-  std::vector<uint64_t> seen;
-};
 
 TEST(FaultProfileTest, NamedPresets) {
   EXPECT_FALSE(FaultProfile::FromName("none").Active());
@@ -230,22 +220,21 @@ TEST(FaultInjectingSourceTest, ScalarNextMatchesFaultSemantics) {
 TEST(FaultInjectingOperatorTest, InjectsOnThePushPath) {
   FaultProfile profile;
   profile.duplicate_prob = 1.0;
-  RecordingOperator sink;
-  FaultInjectingOperator faulty(&sink, profile, kSeed);
+  FaultInjectingOperator faulty(profile, kSeed);
   const std::vector<uint64_t> input = SequentialValues(100);
-  faulty.OnTuples(input.data(), input.size());
-  EXPECT_EQ(sink.seen.size(), 200u);
+  const std::vector<uint64_t>& seen =
+      faulty.OnTuples(input.data(), input.size());
+  EXPECT_EQ(seen.size(), 200u);
   EXPECT_EQ(faulty.faults_injected(), 100u);
 
   FaultProfile corrupt;
   corrupt.corrupt_prob = 1.0;
   corrupt.corrupt_mask = 0xFULL;
-  RecordingOperator capture;
-  FaultInjectingOperator faulty2(&capture, corrupt, kSeed);
+  FaultInjectingOperator faulty2(corrupt, kSeed);
   const uint64_t value = 0x100;
-  faulty2.OnTuples(&value, 1);
-  ASSERT_EQ(capture.seen.size(), 1u);
-  EXPECT_EQ(capture.seen[0] & ~0xFULL, 0x100u) << "fault seed " << kSeed;
+  const std::vector<uint64_t>& captured = faulty2.OnTuples(&value, 1);
+  ASSERT_EQ(captured.size(), 1u);
+  EXPECT_EQ(captured[0] & ~0xFULL, 0x100u) << "fault seed " << kSeed;
   EXPECT_EQ(faulty2.faults_injected(), 1u);
 }
 

@@ -16,8 +16,10 @@
 #include <memory>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
+#include "src/data/zipf.h"
 #include "src/sampling/bernoulli.h"
 #include "src/sketch/agms.h"
 #include "src/sketch/fagms.h"
@@ -367,6 +369,68 @@ TEST(ShardEngineTest, AdaptiveKillAndResumeReplaysControlDecisions) {
   EXPECT_EQ(resumed_controller.windows(), uninterrupted_controller.windows());
   EXPECT_EQ(resumed.total_kept(), uninterrupted.total_kept());
   ExpectCountersEqual(uninterrupted.merged(), resumed.merged(), 0);
+}
+
+// A checkpoint is the merged cut, so the bytes written at a position are a
+// function of the stream alone: with every companion enabled, at two shed
+// rates and under a fixed-budget controller, every checkpoint written at
+// 2, 3 and 8 shards equals the one written at 1 shard.
+TEST(ShardEngineTest, CheckpointBytesIndependentOfShardCount) {
+  const ZipfSampler zipf(5000, 1.0);
+  Xoshiro256 rng(23);
+  const std::vector<uint64_t> values = zipf.Stream(24000, rng);
+  const FagmsSketch proto{SmallParams()};
+
+  // Every checkpoint a run writes, in order, with its position.
+  class CheckpointLog final : public CheckpointSink {
+   public:
+    void Write(const std::vector<uint8_t>& bytes,
+               uint64_t source_tuples) override {
+      written.emplace_back(source_tuples, bytes);
+    }
+    std::vector<std::pair<uint64_t, std::vector<uint8_t>>> written;
+  };
+
+  ShedControllerOptions copts;
+  copts.capacity_per_window = 2500;
+  copts.window_tuples = 4096;
+  struct Config {
+    double p;
+    bool budget;
+  };
+  for (const Config config : {Config{1.0, false}, Config{0.25, false},
+                              Config{1.0, true}}) {
+    auto run = [&](size_t shards) {
+      ShedController controller(copts);
+      CheckpointLog log;
+      ShardEngineOptions opts;
+      opts.shards = shards;
+      opts.chunk_tuples = 384;
+      opts.shed_p = config.p;
+      opts.seed = kRootSeed;
+      opts.controller = config.budget ? &controller : nullptr;
+      opts.checkpoint_sink = &log;
+      opts.checkpoint_every = 4000;
+      opts.distinct_k = 128;
+      opts.quantile_k = 64;
+      opts.subpop_k = 128;
+      ShardEngine<FagmsSketch> engine(proto, opts);
+      RunEngine(engine, values);
+      return log.written;
+    };
+    const auto reference = run(1);
+    ASSERT_GE(reference.size(), 5u);
+    for (const size_t shards : {2u, 3u, 8u}) {
+      const auto written = run(shards);
+      ASSERT_EQ(written.size(), reference.size()) << shards;
+      for (size_t c = 0; c < written.size(); ++c) {
+        EXPECT_EQ(written[c].first, reference[c].first);
+        EXPECT_TRUE(written[c].second == reference[c].second)
+            << "p " << config.p << " budget " << config.budget << " shards "
+            << shards << " checkpoint at " << written[c].first;
+      }
+    }
+  }
 }
 
 // A fixed per-window budget is never discounted by ring congestion, so a

@@ -403,8 +403,8 @@ int CmdRange(int argc, char** argv) {
 // (file or synthetic Zipf) → optional fault injection on the pull path →
 // router → per-lane positional Bernoulli shed (keyed by --shed-seed, so the
 // same tuples survive at any --shards; optionally retargeted per window by
-// a ShedController) → F-AGMS partials, merged at the end. Checkpoints carry
-// the per-shard section, so a resume may use a different --shards. Reports
+// a ShedController) → F-AGMS partials, merged at the end. A checkpoint
+// holds the merged state, so a resume may use a different --shards. Reports
 // the realized-rate-corrected self-join estimate with its Eq 26 confidence
 // interval alongside the exact answer, so accuracy-vs-load curves fall out
 // of a flag sweep. Nothing printed is a wall-clock timing, so a run without

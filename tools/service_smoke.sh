@@ -14,10 +14,12 @@
 #      `sketchsample offline` over the same file and configuration.
 #   2. Query load: a short multi-threaded loadgen run; any failed request
 #      fails the smoke (loadgen exits non-zero on errors > 0).
-#   3. Kill -9 + resume: checkpoint while ingesting, SIGKILL the server
-#      mid-stream, resume a fresh server from the checkpoint, re-push the
-#      stream, and require the same byte-identical answers — modulo the
-#      "sequence" field, a per-process snapshot counter (docs/SERVICE.md).
+#   3. Kill -9 + resume: checkpoint while ingesting on 2 shards, SIGKILL
+#      the server mid-stream, resume a fresh server on 3 shards from the
+#      checkpoint, re-push the stream, and require the same byte-identical
+#      answers — modulo the "sequence" field, a per-process snapshot
+#      counter (docs/SERVICE.md). A checkpoint is the merged engine state,
+#      so the resumed shard count need not match the writer's.
 #
 # Server stdout/err land in <work_dir>/*.log|err for CI artifact upload.
 set -euo pipefail
@@ -106,7 +108,7 @@ echo "== scenario 2: query load (fixed seed, bounded duration)"
   --quantile-weight=1 --subpop-weight=1 --join-weight=1 \
   --key-domain="$domain" --json_out="$work/BENCH_loadgen.json"
 
-echo "== scenario 3: kill -9 mid-ingest, resume from checkpoint"
+echo "== scenario 3: kill -9 mid-ingest, resume from checkpoint at 3 shards"
 start_server "$work/port2.txt" serve2 \
   --checkpoint-every=8192 --checkpoint-out="$work/ckpt.bin"
 port2="$(cat "$work/port2.txt")"
@@ -123,7 +125,8 @@ done
 kill -9 "$crash_pid"
 wait "$crash_pid" 2>/dev/null || true
 
-start_server "$work/port3.txt" serve3 --resume="$work/ckpt.bin"
+# The last --shards wins: resume at another shard count than the writer's.
+start_server "$work/port3.txt" serve3 --resume="$work/ckpt.bin" --shards=3
 port3="$(cat "$work/port3.txt")"
 # Resume contract: the producer re-pushes from the beginning; restore
 # fast-forwards past the checkpointed prefix bit-exactly.
@@ -137,6 +140,6 @@ if ! diff -u "$work/offline_noseq.txt" "$work/resumed_noseq.txt"; then
   echo "FAIL: resumed answers diverge from offline (beyond sequence)" >&2
   exit 1
 fi
-echo "   kill -9 + resume bit-exact (modulo sequence): OK"
+echo "   kill -9 + resume at 3 shards bit-exact (modulo sequence): OK"
 
 echo "service smoke: all scenarios passed"
