@@ -30,6 +30,15 @@
 //                            no longer regenerated, kept as a resume input
 //                            and for the directory round-trip
 //
+// A fourth pins every endpoint's body on small engine snapshots and edited
+// copies of them, in the cases the engine golden never reaches:
+//
+//   service_answers.txt      "<case> <target> <body>" per answer: stale and
+//                            degraded stamps, p = 0 and p = 1, exact KMV
+//                            and subpop, an empty KLL, negative estimates,
+//                            integers past 2^53, NaN as null, levels 0.5
+//                            and 0.99
+//
 // Each golden is regenerated in-process from a deterministic recipe and
 // must match the committed file byte for byte; deserializing the file and
 // re-serializing the result must also reproduce the exact bytes. Together
@@ -47,12 +56,14 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/data/zipf.h"
+#include "src/service/http.h"
 #include "src/service/service.h"
 #include "src/sketch/fagms.h"
 #include "src/sketch/kll.h"
@@ -326,9 +337,162 @@ std::vector<uint8_t> UninterruptedEngineAnswers() {
   return EngineAnswers(engine);
 }
 
+// The wider answers golden: every endpoint's body over snapshots and
+// freshness contexts the engine golden never reaches — degraded and stale
+// answers, p = 0 and p = 1, unsaturated KMV and keyed KMV (exact subpop),
+// an empty KLL, negative estimates, integers at and past 2^53, a NaN rate
+// that prints null, and levels 0.5 and 0.99. One "<case> <target> <body>"
+// line per answer, the body as the service sends it (newline included).
+SketchParams WideSketchParams() {
+  SketchParams params;
+  params.rows = 3;
+  params.buckets = 256;
+  params.scheme = XiScheme::kCw4;
+  params.seed = 0xa5;
+  return params;
+}
+
+ServiceSnapshot WideEngineSnapshot(double shed_p, size_t shards,
+                                   size_t tuples, uint64_t domain,
+                                   size_t companion_k) {
+  ShardEngineOptions options;
+  options.shards = shards;
+  options.shed_p = shed_p;
+  options.seed = 0xa6;
+  options.chunk_tuples = 512;
+  options.distinct_k = companion_k;
+  options.quantile_k = 32;
+  options.subpop_k = companion_k;
+  ShardEngine<FagmsSketch> engine(FagmsSketch(WideSketchParams()), options);
+  std::vector<uint64_t> stream = ZipfStream(3, tuples);
+  for (uint64_t& v : stream) v %= domain;
+  VectorSource source(std::move(stream));
+  if (tuples > 0) engine.Run(source);
+  return engine.Snapshot();
+}
+
+std::vector<uint8_t> WideServiceAnswers() {
+  // Saturated KMV and keyed KMV, a compacted KLL, p = 0.5 on two shards.
+  const ServiceSnapshot saturated = WideEngineSnapshot(0.5, 2, 20000, 3000, 64);
+  // p = 1 over 40 keys: KMV and keyed KMV hold every key (exact answers).
+  const ServiceSnapshot exact = WideEngineSnapshot(1.0, 1, 600, 40, 1024);
+  // Nothing ingested: empty KLL, KMV and keyed KMV at position 0.
+  const ServiceSnapshot empty = WideEngineSnapshot(0.5, 1, 0, 1, 64);
+  // p = 0: every tuple shed, so realized p̂ = 0 and the estimates are 0.
+  ServiceSnapshot shed_all = saturated;
+  shed_all.p = 0.0;
+  shed_all.kept = 0;
+  // Counts past 2^53, which print in the %.17g form.
+  ServiceSnapshot huge = saturated;
+  huge.position = (uint64_t{1} << 60) + 7;
+  huge.kept = (uint64_t{1} << 58) + 3;
+  huge.sequence = (uint64_t{1} << 53) + 1;
+  // A NaN rate at position 0 prints "p":null and "realized_p":null.
+  ServiceSnapshot nan_rate = empty;
+  nan_rate.p = std::numeric_limits<double>::quiet_NaN();
+
+  FagmsSketch reference(WideSketchParams());
+  std::vector<uint64_t> ref_stream = ZipfStream(4, 5000);
+  for (uint64_t& v : ref_stream) v %= 3000;
+  reference.UpdateBatch(ref_stream);
+  const StreamMoments moments_f{20000, 4.1e7, 1.3e11, 4.7e14};
+  const StreamMoments moments_g{5000, 2.6e6, 2.1e9, 1.9e12};
+
+  std::string out;
+  const auto line = [&out](const std::string& label, const JsonValue& body) {
+    out += label + " " + JsonResponse(200, body).body;
+  };
+  const auto all = [&](const std::string& name, const ServiceSnapshot& snap,
+                       double level, const QueryFreshness& fresh) {
+    const std::string at = " level=" + std::to_string(level) + " ";
+    line(name + at + "/query/selfjoin",
+         SelfJoinResponseJson(snap, std::nullopt, level, fresh));
+    line(name + at + "/query/join",
+         JoinResponseJson(snap, reference, std::nullopt, std::nullopt, level,
+                          fresh));
+    line(name + at + "/query/point?key=7",
+         PointResponseJson(snap, 7, std::nullopt, level, fresh));
+    line(name + at + "/query/distinct",
+         DistinctResponseJson(snap, level, fresh));
+    line(name + at + "/query/quantile?q=0.5",
+         QuantileResponseJson(snap, 0.5, level, fresh));
+    line(name + at + "/query/subpop?filter=mod:10-3",
+         SubpopResponseJson(snap, ParseSubpopFilter("mod:10-3"), level,
+                            fresh));
+  };
+  const auto sealed = [](const ServiceSnapshot& snap) {
+    QueryFreshness fresh;
+    fresh.pushed = snap.position;
+    return fresh;
+  };
+
+  for (const double level : {0.5, 0.95, 0.99}) {
+    all("saturated", saturated, level, sealed(saturated));
+  }
+  const std::string at = "saturated level=0.950000 ";
+  const QueryFreshness fresh = sealed(saturated);
+  line(at + "/query/selfjoin moments=exact",
+       SelfJoinResponseJson(saturated, moments_f, 0.95, fresh));
+  line(at + "/query/join moments=exact",
+       JoinResponseJson(saturated, reference, moments_f, moments_g, 0.95,
+                        fresh));
+  line(at + "/query/join moments=f-only",
+       JoinResponseJson(saturated, reference, moments_f, std::nullopt, 0.95,
+                        fresh));
+  line(at + "/query/point?key=7 moments=exact",
+       PointResponseJson(saturated, 7, moments_f, 0.95, fresh));
+  // Absent keys (negative estimates among them) and keys at and past 2^53.
+  for (const uint64_t key :
+       {uint64_t{0}, uint64_t{2999}, uint64_t{3001}, uint64_t{123456789},
+        (uint64_t{1} << 53) - 1, (uint64_t{1} << 53) + 1, UINT64_MAX}) {
+    line(at + "/query/point?key=" + std::to_string(key),
+         PointResponseJson(saturated, key, std::nullopt, 0.95, fresh));
+  }
+  for (const char* q : {"0", "0.001", "0.9", "1"}) {
+    line(at + "/query/quantile?q=" + q,
+         QuantileResponseJson(saturated, std::strtod(q, nullptr), 0.95,
+                              fresh));
+  }
+  for (const char* filter :
+       {"mod:1-0", "mod:2-1", "mod:3-2", "mod:12-5", "mod:999999937-17",
+        "mod:9223372036854775808-3", "mod:18446744073709551615-0",
+        "range:0-99", "range:0-18446744073709551615", "range:5000-6000",
+        "mask:1-1", "mask:0-0", "mask:18446744073709551615-5"}) {
+    line(at + "/query/subpop?filter=" + filter,
+         SubpopResponseJson(saturated, ParseSubpopFilter(filter), 0.95,
+                            fresh));
+  }
+
+  // Stale but within the lag bound; degraded by the lag, by admission
+  // saturation and by a stalled ingest.
+  QueryFreshness stale = fresh;
+  stale.pushed = saturated.position + 1000;
+  all("stale", saturated, 0.95, stale);
+  QueryFreshness lagging = stale;
+  lagging.freshness_lag = 100;
+  all("degraded-lag", saturated, 0.95, lagging);
+  QueryFreshness admission = fresh;
+  admission.admission_saturated = true;
+  all("degraded-admission", saturated, 0.95, admission);
+  QueryFreshness stalled = fresh;
+  stalled.ingest_stalled = true;
+  all("degraded-stalled", saturated, 0.95, stalled);
+
+  all("exact", exact, 0.95, sealed(exact));
+  line("exact level=0.950000 /query/subpop?filter=range:0-9",
+       SubpopResponseJson(exact, ParseSubpopFilter("range:0-9"), 0.95,
+                          sealed(exact)));
+  all("empty", empty, 0.95, sealed(empty));
+  all("shed-all", shed_all, 0.95, sealed(shed_all));
+  all("huge", huge, 0.99, sealed(huge));
+  all("nan-rate", nan_rate, 0.95, sealed(nan_rate));
+  return std::vector<uint8_t>(out.begin(), out.end());
+}
+
 const SketchGoldenCase kEngineGoldens[] = {
     {"v1_engine_cut.skcp", EngineCheckpointBlob},
     {"engine_answers.txt", UninterruptedEngineAnswers},
+    {"service_answers.txt", WideServiceAnswers},
 };
 
 bool WriteGoldenMode() {
@@ -464,6 +628,30 @@ TEST(EngineGoldenTest, CommittedBytesMatchEngineOutput) {
   for (const SketchGoldenCase& golden : kEngineGoldens) {
     SCOPED_TRACE(golden.file);
     EXPECT_EQ(ReadFileBytes(GoldenPath(golden.file)), golden.make());
+  }
+}
+
+// Every committed answer body is what the tree parser reads back and Dump
+// prints again: the bodies are compact JSON in Dump's own number and
+// string forms, whoever wrote them.
+TEST(EngineGoldenTest, AnswerBodiesRoundTripThroughParse) {
+  for (const char* file : {"engine_answers.txt", "service_answers.txt"}) {
+    SCOPED_TRACE(file);
+    const std::vector<uint8_t> bytes = ReadFileBytes(GoldenPath(file));
+    const std::string text(bytes.begin(), bytes.end());
+    size_t lines = 0;
+    for (size_t start = 0; start < text.size(); ++lines) {
+      const size_t end = text.find('\n', start);
+      ASSERT_NE(end, std::string::npos) << "unterminated last line";
+      const size_t brace = text.find(" {", start);
+      ASSERT_LT(brace, end) << text.substr(start, end - start);
+      const std::string body = text.substr(brace + 1, end - brace);
+      const std::optional<JsonValue> parsed = JsonValue::Parse(body);
+      ASSERT_TRUE(parsed.has_value()) << body;
+      EXPECT_EQ(parsed->Dump() + "\n", body);
+      start = end + 1;
+    }
+    EXPECT_GT(lines, 10u);
   }
 }
 
