@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -26,13 +27,16 @@
 #include "src/prng/hash.h"
 #include "src/prng/simd/dispatch.h"
 #include "src/service/http.h"
+#include "src/service/router.h"
 #include "src/service/service.h"
 #include "src/sketch/agms.h"
 #include "src/sketch/fagms.h"
 #include "src/sketch/kll.h"
+#include "src/sketch/serialize.h"
 #include "src/stream/shard_engine.h"
 #include "src/stream/source.h"
 #include "src/util/aligned.h"
+#include "src/util/json.h"
 #include "src/util/rng.h"
 #include "src/util/timer.h"
 
@@ -162,19 +166,96 @@ BENCHMARK(BM_FagmsEstimateSelfJoin);
 // A whole /query/selfjoin answer on the sealed snapshot: estimator,
 // interval, JSON body and HTTP response, as the service serves every read
 // of an unchanged snapshot. The snapshot derives its self-join estimate
-// once, so the answer costs a fraction of one scan.
+// and its formatted members once, so the answer costs a fraction of one
+// scan.
 void BM_SelfJoinAnswer(benchmark::State& state) {
   const ServiceSnapshot& snapshot = SealedSnapshot();
   QueryFreshness fresh;
   fresh.pushed = snapshot.position;
   for (auto _ : state) {
-    HttpResponse response = JsonResponse(
-        200, SelfJoinResponseJson(snapshot, std::nullopt, 0.95, fresh));
+    HttpResponse response;
+    response.body = SelfJoinAnswer(snapshot, std::nullopt, 0.95, fresh);
     benchmark::DoNotOptimize(response);
   }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SelfJoinAnswer);
+
+// Every number of that answer, written with the answer writer's number
+// formatter into one reused buffer: the formatting no writer can skip
+// unless it formats some numbers once per snapshot.
+void BM_SelfJoinNumbers(benchmark::State& state) {
+  const ServiceSnapshot& snapshot = SealedSnapshot();
+  QueryFreshness fresh;
+  fresh.pushed = snapshot.position;
+  std::vector<double> numbers;
+  const auto collect = [&numbers](const JsonValue& value, auto& self) -> void {
+    if (value.is_number()) numbers.push_back(value.AsNumber());
+    if (!value.is_object()) return;
+    for (const auto& member : value.AsObject()) self(member.second, self);
+  };
+  collect(SelfJoinResponseJson(snapshot, std::nullopt, 0.95, fresh), collect);
+  std::string out;
+  for (auto _ : state) {
+    out.clear();
+    JsonWriter w(out);
+    for (const double number : numbers) w.Number(number);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["numbers"] = static_cast<double>(numbers.size());
+}
+BENCHMARK(BM_SelfJoinNumbers);
+
+// One in-process request per endpoint against a service holding the sealed
+// snapshot: Router::Dispatch (handler, snapshot pin, estimator, body) plus
+// Serialize, the bytes a socket would send, as perfbench's ingest_p10
+// reader times its sealed-snapshot answers. The service runs no ingest;
+// the snapshot is published into its registry directly, and every point
+// answers after the snapshot's view is derived.
+void BM_InProcessAnswer(benchmark::State& state, const char* target) {
+  static Router* const router = [] {
+    SketchServiceOptions options;
+    options.sketch = SealedSnapshot().sketch.params();
+    FagmsSketch reference(options.sketch);
+    reference.UpdateBatch(Stream());
+    options.join_sketch = SerializeSketch(reference);
+    static SketchService service(options);
+    service.registry().Publish(
+        std::make_unique<ServiceSnapshot>(SealedSnapshot()));
+    static Router routes;
+    service.Register(routes);
+    return &routes;
+  }();
+  HttpRequestParser parser{HttpLimits{}};
+  const std::string bytes =
+      std::string("GET ") + target + " HTTP/1.1\r\nHost: bench\r\n\r\n";
+  parser.Feed(bytes.data(), bytes.size());
+  HttpRequest request;
+  if (!parser.Next(&request)) {
+    state.SkipWithError("unparsable request");
+    return;
+  }
+  const RequestContext context;
+  if (router->Dispatch(request, context).status != 200) {
+    state.SkipWithError("endpoint did not answer 200");
+    return;
+  }
+  for (auto _ : state) {
+    const HttpResponse response = router->Dispatch(request, context);
+    std::string wire = response.Serialize();
+    benchmark::DoNotOptimize(wire.data());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_InProcessAnswer, selfjoin, "/query/selfjoin");
+BENCHMARK_CAPTURE(BM_InProcessAnswer, join, "/query/join");
+BENCHMARK_CAPTURE(BM_InProcessAnswer, point, "/query/point?key=7");
+BENCHMARK_CAPTURE(BM_InProcessAnswer, distinct, "/query/distinct");
+BENCHMARK_CAPTURE(BM_InProcessAnswer, quantile, "/query/quantile?q=0.5");
+BENCHMARK_CAPTURE(BM_InProcessAnswer, subpop,
+                  "/query/subpop?filter=mod:10-3");
 
 class DroppingHook final : public ShardSnapshotHook<FagmsSketch> {
  public:

@@ -1,6 +1,7 @@
 #include "src/core/subpop_estimators.h"
 
 #include <algorithm>
+#include <bit>
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
@@ -26,6 +27,76 @@ uint64_t ParseOperand(const std::string& token) {
   return static_cast<uint64_t>(value);
 }
 
+// key % a == b without a division (a >= 1, b < a, as ParseSubpopFilter
+// guarantees). A key below b leaves a remainder other than b, and a key
+// from b up matches iff a divides x = key − b. With a = d·2^t, d odd and
+// d⁻¹ its inverse mod 2^64, x·d⁻¹ rotated right by t is at most
+// (2^64 − 1)/a exactly when d and 2^t both divide x (Granlund and
+// Montgomery's test; Hacker's Delight §10-17).
+class ModMatch {
+ public:
+  ModMatch(uint64_t a, uint64_t b)
+      : b_(b), shift_(std::countr_zero(a)), limit_(UINT64_MAX / a) {
+    const uint64_t d = a >> shift_;
+    // Newton's iteration doubles the correct low bits of the inverse:
+    // d·d ≡ 1 mod 8 gives 3, five rounds give all 64.
+    inverse_ = d;
+    for (int i = 0; i < 5; ++i) inverse_ *= 2 - d * inverse_;
+  }
+  bool operator()(uint64_t key) const {
+    return (key >= b_) & (std::rotr((key - b_) * inverse_, shift_) <= limit_);
+  }
+
+ private:
+  uint64_t b_;
+  int shift_;
+  uint64_t limit_;
+  uint64_t inverse_ = 0;
+};
+
+// The matching entries' weight and squared-weight sums over the first `n`
+// entries, one scan specialized to the predicate's kind. A non-matching
+// entry adds +0.0 instead of taking a branch; the sums start at +0.0 and
+// every weight is nonnegative, so they are bit-identical to summing the
+// matches alone.
+struct MatchSums {
+  double weight = 0;
+  double weight_sq = 0;
+  size_t matched = 0;
+};
+
+template <typename Match>
+MatchSums SumMatches(const KeyedKmvSketch::Entry* entries, size_t n,
+                     Match match) {
+  MatchSums sums;
+  for (size_t i = 0; i < n; ++i) {
+    const bool hit = match(entries[i].key);
+    const double w = hit ? static_cast<double>(entries[i].weight) : 0.0;
+    sums.weight += w;
+    sums.weight_sq += w * w;
+    sums.matched += hit;
+  }
+  return sums;
+}
+
+MatchSums SumMatches(const KeyedKmvSketch::Entry* entries, size_t n,
+                     const SubpopPredicate& pred) {
+  const uint64_t a = pred.a;
+  const uint64_t b = pred.b;
+  switch (pred.kind) {
+    case SubpopPredicate::Kind::kRange:
+      return SumMatches(entries, n, [a, b](uint64_t key) {
+        return (a <= key) & (key <= b);
+      });
+    case SubpopPredicate::Kind::kMod:
+      return SumMatches(entries, n, ModMatch(a, b));
+    case SubpopPredicate::Kind::kMask:
+      return SumMatches(entries, n,
+                        [a, b](uint64_t key) { return (key & a) == b; });
+  }
+  return {};
+}
+
 }  // namespace
 
 bool SubpopPredicate::Matches(uint64_t key) const {
@@ -33,7 +104,7 @@ bool SubpopPredicate::Matches(uint64_t key) const {
     case Kind::kRange:
       return a <= key && key <= b;
     case Kind::kMod:
-      return key % a == b;
+      return ModMatch(a, b)(key);
     case Kind::kMask:
       return (key & a) == b;
   }
@@ -117,12 +188,9 @@ SubpopEstimate EstimateSubpopulation(
     // filtered sum, and only the shedding term contributes variance.
     out.exact = true;
     out.sample_size = entries.size();
-    for (const KeyedKmvSketch::Entry& entry : entries) {
-      if (pred.Matches(entry.key)) {
-        out.kept_estimate += static_cast<double>(entry.weight);
-        ++out.matched;
-      }
-    }
+    const MatchSums sums = SumMatches(entries.data(), entries.size(), pred);
+    out.kept_estimate = sums.weight;
+    out.matched = sums.matched;
   } else {
     // Condition on the k-th smallest hash as the inclusion threshold u:
     // the other k−1 entries are distinct keys retained with probability u
@@ -131,18 +199,11 @@ SubpopEstimate EstimateSubpopulation(
     // variance (1−u)/u² · Σ w².
     const double u = KmvThreshold01(entries.back().hash);
     out.sample_size = entries.size() - 1;  // the k-th entry is the threshold
-    double weight_sum = 0;
-    double weight_sq_sum = 0;
-    for (size_t i = 0; i + 1 < entries.size(); ++i) {
-      if (pred.Matches(entries[i].key)) {
-        const double w = static_cast<double>(entries[i].weight);
-        weight_sum += w;
-        weight_sq_sum += w * w;
-        ++out.matched;
-      }
-    }
-    out.kept_estimate = weight_sum / u;
-    out.sketch_variance = (1.0 - u) / (u * u) * weight_sq_sum;
+    const MatchSums sums =
+        SumMatches(entries.data(), out.sample_size, pred);
+    out.matched = sums.matched;
+    out.kept_estimate = sums.weight / u;
+    out.sketch_variance = (1.0 - u) / (u * u) * sums.weight_sq;
   }
   // Undo the shedding: kept weight is Binomial(W, p), so dividing by p̂
   // scales the bottom-k variance by 1/p̂² and adds the binomial term

@@ -55,6 +55,33 @@ void SetSocketTimeout(int fd, int which, int timeout_ms) {
   ::setsockopt(fd, SOL_SOCKET, which, &tv, sizeof(tv));
 }
 
+// One connection's socket timeouts as last set. The connection loop
+// re-derives them before every read and every response; only a changed
+// value reaches setsockopt. Values <= 0 are stored as 0, since
+// SetSocketTimeout treats them all as "no timeout".
+class SocketTimeouts {
+ public:
+  // `recv_ms` and `send_ms` are what the socket was last set to.
+  SocketTimeouts(int fd, int recv_ms, int send_ms)
+      : fd_(fd), recv_ms_(std::max(recv_ms, 0)),
+        send_ms_(std::max(send_ms, 0)) {}
+
+  void Receive(int ms) { Arm(SO_RCVTIMEO, recv_ms_, ms); }
+  void Send(int ms) { Arm(SO_SNDTIMEO, send_ms_, ms); }
+
+ private:
+  void Arm(int which, int& last, int ms) {
+    ms = std::max(ms, 0);
+    if (ms == last) return;
+    SetSocketTimeout(fd_, which, ms);
+    last = ms;
+  }
+
+  int fd_;
+  int recv_ms_;
+  int send_ms_;
+};
+
 // Strict decimal uint64 for the X-Deadline-Ms header value.
 bool ParseHeaderU64(const std::string& text, uint64_t* out) {
   if (text.empty() || text.size() > 19) return false;
@@ -167,6 +194,11 @@ void HttpServer::Stop() {
   started_ = false;
 }
 
+int HttpServer::BaselineSendTimeoutMs() const {
+  return options_.default_deadline_ms > 0 ? options_.default_deadline_ms
+                                          : options_.recv_timeout_ms;
+}
+
 HttpServerStats HttpServer::stats() const {
   HttpServerStats stats;
   stats.connections_accepted =
@@ -193,10 +225,7 @@ void HttpServer::AcceptLoop() {
     SetSocketTimeout(fd, SO_RCVTIMEO, options_.recv_timeout_ms);
     // Baseline send timeout so no write can ever block forever; per-response
     // writes re-derive it from the remaining deadline budget.
-    SetSocketTimeout(fd, SO_SNDTIMEO,
-                     options_.default_deadline_ms > 0
-                         ? options_.default_deadline_ms
-                         : options_.recv_timeout_ms);
+    SetSocketTimeout(fd, SO_SNDTIMEO, BaselineSendTimeoutMs());
 
     Connection* claimed = nullptr;
     {
@@ -234,6 +263,8 @@ void HttpServer::AcceptLoop() {
 
 void HttpServer::ConnectionLoop(Connection* connection) {
   const int fd = connection->fd.load(MemOrder::kAcquire);
+  SocketTimeouts timeouts(fd, options_.recv_timeout_ms,
+                          BaselineSendTimeoutMs());
   HttpRequestParser parser(options_.limits);
   char buffer[16384];
   bool open = true;
@@ -253,7 +284,7 @@ void HttpServer::ConnectionLoop(Connection* connection) {
         ErrorResponse(408, "request read deadline exceeded");
     response.keep_alive = false;
     const std::string bytes = response.Serialize();
-    SetSocketTimeout(fd, SO_SNDTIMEO, 1000);
+    timeouts.Send(1000);
     WriteAll(fd, bytes.data(), bytes.size());
   };
   while (open && !stopping_.load(MemOrder::kAcquire)) {
@@ -268,7 +299,7 @@ void HttpServer::ConnectionLoop(Connection* connection) {
       }
       wait_ms = wait_ms > 0 ? std::min(wait_ms, remaining) : remaining;
     }
-    SetSocketTimeout(fd, SO_RCVTIMEO, wait_ms);
+    timeouts.Receive(wait_ms);
     const ssize_t r = ChaosRecv(fd, buffer, sizeof(buffer), 0);
     if (r < 0) {
       if (errno == EINTR) continue;
@@ -354,7 +385,7 @@ void HttpServer::ConnectionLoop(Connection* connection) {
         const int remaining = context.RemainingMs();
         send_ms = remaining > 0 ? remaining : 1;
       }
-      SetSocketTimeout(fd, SO_SNDTIMEO, send_ms);
+      timeouts.Send(send_ms);
       const std::string bytes = response.Serialize();
       if (!WriteAll(fd, bytes.data(), bytes.size())) {
         open = false;

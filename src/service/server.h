@@ -100,6 +100,8 @@ class HttpServer {
 
   void AcceptLoop();
   void ConnectionLoop(Connection* connection);
+  // The send timeout an accepted socket starts with.
+  int BaselineSendTimeoutMs() const;
 
   const Router* router_;
   HttpServerOptions options_;

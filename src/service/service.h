@@ -22,7 +22,7 @@
 // Bit-exactness: because shedding is positional and the distinct counter's
 // seed derives from the root seed, the response payload for a given
 // (configuration, stream prefix) is byte-identical to what `sketchsample
-// offline` computes from the same data — the response builders below are
+// offline` computes from the same data — the answer writers below are
 // the single code path both sides use, and the service-smoke CI job holds
 // them to exact equality.
 #ifndef SKETCHSAMPLE_SERVICE_SERVICE_H_
@@ -243,16 +243,52 @@ class SketchService {
 };
 
 // ---------------------------------------------------------------------------
-// Response builders — the shared online/offline code path. Each returns the
-// exact JSON body of the corresponding endpoint (see docs/SERVICE.md for
-// the schema).
+// Answer writers — the shared online/offline code path. Each returns the
+// exact body of the corresponding endpoint (compact JSON and a newline; see
+// docs/SERVICE.md for the schema), written in one pass from the snapshot
+// with JsonWriter (src/util/json.h): no JsonValue tree in between.
 // ---------------------------------------------------------------------------
 
+std::string SelfJoinAnswer(const ServiceSnapshot& snapshot,
+                           const std::optional<StreamMoments>& moments_f,
+                           double level,
+                           const QueryFreshness& fresh = QueryFreshness());
+/// `g` holds the reference's moments from ResolveJoinMoments.
+std::string JoinAnswer(const ServiceSnapshot& snapshot,
+                       const FagmsSketch& reference,
+                       const std::optional<StreamMoments>& moments_f,
+                       const ResolvedMoments& g, double level,
+                       const QueryFreshness& fresh = QueryFreshness());
+/// The g-side moments of a join reference: `exact` when supplied, else a
+/// plug-in from the reference's self-join estimate. That estimate scans
+/// the whole reference, so resolve once per reference, not per answer.
+ResolvedMoments ResolveJoinMoments(const FagmsSketch& reference,
+                                   const std::optional<StreamMoments>& exact);
+std::string PointAnswer(const ServiceSnapshot& snapshot, uint64_t key,
+                        const std::optional<StreamMoments>& moments_f,
+                        double level,
+                        const QueryFreshness& fresh = QueryFreshness());
+std::string DistinctAnswer(const ServiceSnapshot& snapshot, double level,
+                           const QueryFreshness& fresh = QueryFreshness());
+/// Quantile answer at rank q in [0, 1]. Requires snapshot.quantile; the
+/// rank-error report splits the KLL compaction term from the
+/// Bernoulli-sampling CLT term at the realized p̂, and the value-space
+/// interval re-queries the sketch at q ∓ ε_total.
+std::string QuantileAnswer(const ServiceSnapshot& snapshot, double q,
+                           double level,
+                           const QueryFreshness& fresh = QueryFreshness());
+/// Subpopulation-weight answer for `pred`. Requires snapshot.subpop.
+std::string SubpopAnswer(const ServiceSnapshot& snapshot,
+                         const SubpopPredicate& pred, double level,
+                         const QueryFreshness& fresh = QueryFreshness());
+
+// The same answers as JsonValue trees, for callers that read fields: each
+// is JsonValue::Parse of the written body, and Dump of it prints the body
+// without its newline.
 JsonValue SelfJoinResponseJson(const ServiceSnapshot& snapshot,
                                const std::optional<StreamMoments>& moments_f,
                                double level,
                                const QueryFreshness& fresh = QueryFreshness());
-/// `g` holds the reference's moments from ResolveJoinMoments.
 JsonValue JoinResponseJson(const ServiceSnapshot& snapshot,
                            const FagmsSketch& reference,
                            const std::optional<StreamMoments>& moments_f,
@@ -265,25 +301,15 @@ JsonValue JoinResponseJson(const ServiceSnapshot& snapshot,
                            const std::optional<StreamMoments>& moments_g,
                            double level,
                            const QueryFreshness& fresh = QueryFreshness());
-/// The g-side moments of a join reference: `exact` when supplied, else a
-/// plug-in from the reference's self-join estimate. That estimate scans
-/// the whole reference, so resolve once per reference, not per answer.
-ResolvedMoments ResolveJoinMoments(const FagmsSketch& reference,
-                                   const std::optional<StreamMoments>& exact);
 JsonValue PointResponseJson(const ServiceSnapshot& snapshot, uint64_t key,
                             const std::optional<StreamMoments>& moments_f,
                             double level,
                             const QueryFreshness& fresh = QueryFreshness());
 JsonValue DistinctResponseJson(const ServiceSnapshot& snapshot, double level,
                                const QueryFreshness& fresh = QueryFreshness());
-/// Quantile answer at rank q in [0, 1]. Requires snapshot.quantile; the
-/// rank-error report splits the KLL compaction term from the
-/// Bernoulli-sampling CLT term at the realized p̂, and the value-space
-/// interval re-queries the sketch at q ∓ ε_total.
 JsonValue QuantileResponseJson(const ServiceSnapshot& snapshot, double q,
                                double level,
                                const QueryFreshness& fresh = QueryFreshness());
-/// Subpopulation-weight answer for `pred`. Requires snapshot.subpop.
 JsonValue SubpopResponseJson(const ServiceSnapshot& snapshot,
                              const SubpopPredicate& pred, double level,
                              const QueryFreshness& fresh = QueryFreshness());

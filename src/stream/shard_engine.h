@@ -46,6 +46,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -140,11 +141,12 @@ uint64_t ShardSubpopSeed(uint64_t root_seed);
 
 /// Query-form view of one snapshot: the values every answer of an
 /// unchanged snapshot would otherwise re-derive — the primary sketch's
-/// self-join estimate, the KLL's sorted cumulative view and the keyed-KMV
-/// entries. Each sits behind its own OnceLatch: the first reader that needs
-/// it derives it, and every later reader on any thread shares the result.
-/// Nothing is derived when the snapshot is cut, so the router thread pays
-/// one small allocation per publish and no estimator work.
+/// self-join estimate, the KLL's sorted cumulative view, the keyed-KMV
+/// entries and the answers' snapshot-constant JSON members. Each sits
+/// behind its own OnceLatch: the first reader that needs it derives it, and
+/// every later reader on any thread shares the result. Nothing is derived
+/// when the snapshot is cut, so the router thread pays one small
+/// allocation per publish and no estimator or formatting work.
 ///
 /// OnceLatch can be neither copied nor moved, so the latches live behind a
 /// pointer. A copy starts with an empty view (its members may be edited
@@ -157,6 +159,10 @@ class SnapshotQueryView {
     OnceLatch<double> self_join;
     OnceLatch<KllSortedView> quantile;
     OnceLatch<std::vector<KeyedKmvSketch::Entry>> subpop;
+    /// The members every service answer writes after its endpoint name —
+    /// position, kept, sequence, p and realized_p — as compact JSON text,
+    /// formatted by the service (src/service/service.cc).
+    OnceLatch<std::string> answer_members;
   };
 
   SnapshotQueryView() : latches_(std::make_unique<Latches>()) {}

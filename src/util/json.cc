@@ -3,6 +3,7 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -118,27 +119,36 @@ void JsonValue::Append(JsonValue value) {
 
 namespace {
 
-void EscapeString(const std::string& s, std::string& out) {
+// Appends `s` as a JSON string literal. Runs of bytes that need no escape
+// are appended whole, so a plain key or value costs one append.
+void EscapeString(std::string_view s, std::string& out) {
   out.push_back('"');
-  for (char c : s) {
+  size_t run = 0;  // first byte not yet appended
+  for (size_t i = 0; i < s.size(); ++i) {
+    const char c = s[i];
+    const char* escape = nullptr;
     switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
+      case '"': escape = "\\\""; break;
+      case '\\': escape = "\\\\"; break;
+      case '\b': escape = "\\b"; break;
+      case '\f': escape = "\\f"; break;
+      case '\n': escape = "\\n"; break;
+      case '\r': escape = "\\r"; break;
+      case '\t': escape = "\\t"; break;
       default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
+        if (static_cast<unsigned char>(c) >= 0x20) continue;
+    }
+    out.append(s.data() + run, i - run);
+    run = i + 1;
+    if (escape != nullptr) {
+      out += escape;
+    } else {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+      out += buf;
     }
   }
+  out.append(s.data() + run, s.size() - run);
   out.push_back('"');
 }
 
@@ -150,13 +160,16 @@ void FormatNumber(double d, std::string& out) {
     return;
   }
   // Integers up to 2^53 print exactly, without a trailing ".0". The bytes
-  // are printf's: std::to_chars at fixed/0 and general/17 are specified as
-  // "%.0f" and "%.17g" (tests/json_test.cc checks them against printf).
+  // are printf's: an integral double below 2^53 converts exactly to
+  // int64_t, whose decimal digits are "%.0f" of it (−0.0, which converts
+  // to 0, keeps its sign by hand), and std::to_chars at general/17 is
+  // specified as "%.17g" (tests/json_test.cc checks both against printf).
   char buf[32];
   std::to_chars_result result;
   if (d == std::floor(d) && std::fabs(d) < 9.007199254740992e15) {
-    result =
-        std::to_chars(buf, buf + sizeof(buf), d, std::chars_format::fixed, 0);
+    char* first = buf;
+    if (d == 0.0 && std::signbit(d)) *first++ = '-';
+    result = std::to_chars(first, buf + sizeof(buf), static_cast<int64_t>(d));
   } else {
     result = std::to_chars(buf, buf + sizeof(buf), d,
                            std::chars_format::general, 17);
@@ -217,6 +230,51 @@ std::string JsonValue::Dump(int indent) const {
   std::string out;
   DumpTo(out, indent, 0);
   return out;
+}
+
+JsonWriter& JsonWriter::BeginObject() {
+  out_.push_back('{');
+  need_comma_ = false;
+  return *this;
+}
+
+JsonWriter& JsonWriter::EndObject() {
+  out_.push_back('}');
+  need_comma_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::Key(std::string_view key) {
+  if (need_comma_) out_.push_back(',');
+  EscapeString(key, out_);
+  out_.push_back(':');
+  return *this;
+}
+
+JsonWriter& JsonWriter::Number(double d) {
+  FormatNumber(d, out_);
+  need_comma_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::String(std::string_view s) {
+  EscapeString(s, out_);
+  need_comma_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::Bool(bool b) {
+  out_ += b ? "true" : "false";
+  need_comma_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::Members(std::string_view members) {
+  if (members.empty()) return *this;
+  if (need_comma_) out_.push_back(',');
+  out_.append(members);
+  need_comma_ = true;
+  return *this;
 }
 
 namespace {

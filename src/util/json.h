@@ -1,9 +1,11 @@
-// Minimal JSON value type with parsing and serialization.
+// Minimal JSON value type with parsing and serialization, and a one-pass
+// writer that prints the same bytes without building a value.
 //
 // Exists so the bench reporter (bench/report.h) and the regression gate
-// (tools/bench_gate.cc) agree on one schema without an external dependency.
-// Supports the full JSON data model; numbers are stored as double (enough
-// for bench metrics; 2^53 integer precision).
+// (tools/bench_gate.cc) agree on one schema without an external dependency,
+// and so the service writes its answers (src/service/service.h) without a
+// tree. Supports the full JSON data model; numbers are stored as double
+// (enough for bench metrics; 2^53 integer precision).
 #ifndef SKETCHSAMPLE_UTIL_JSON_H_
 #define SKETCHSAMPLE_UTIL_JSON_H_
 
@@ -11,6 +13,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -73,6 +76,34 @@ class JsonValue {
   std::string string_;
   std::vector<JsonValue> array_;
   std::vector<std::pair<std::string, JsonValue>> object_;
+};
+
+/// Append-only compact JSON writer: writes a document straight into a
+/// string in one pass, with no JsonValue tree, no per-member allocation and
+/// no key search. Numbers and strings go through the formatters
+/// JsonValue::Dump uses, so a document written here is byte-identical to
+/// Dump of the same members built as a tree (null for NaN and infinities,
+/// integers below 2^53 in printf's "%.0f" form, others in "%.17g").
+///
+/// The caller writes a well-formed document: Key only inside an object and
+/// exactly one value after each Key. Members separate themselves.
+class JsonWriter {
+ public:
+  explicit JsonWriter(std::string& out) : out_(out) {}
+
+  JsonWriter& BeginObject();
+  JsonWriter& EndObject();
+  JsonWriter& Key(std::string_view key);
+  JsonWriter& Number(double d);
+  JsonWriter& String(std::string_view s);
+  JsonWriter& Bool(bool b);
+  /// Members already written by another JsonWriter (`"k":v,...`, no
+  /// braces), appended as the next members of the open object.
+  JsonWriter& Members(std::string_view members);
+
+ private:
+  std::string& out_;
+  bool need_comma_ = false;  // a member or value precedes the next Key
 };
 
 }  // namespace sketchsample

@@ -210,6 +210,36 @@ TEST(SubpopValidationTest, IntervalCoversExactWeightAtEveryRate) {
 // the kept set independent of the partition, the keyed-KMV merge is an
 // exact set union with summed weights, and the engine replays quantile
 // updates in stream-position order regardless of which lane buffered them.
+// The mod: filter tests divisibility with a multiply and a rotate instead
+// of a division; it must agree with % on every key, for odd, even,
+// power-of-two, prime and extreme moduli and residues on both ends.
+TEST(SubpopPredicateTest, ModFilterAgreesWithRemainder) {
+  Xoshiro256 rng(20261021);
+  for (const uint64_t a :
+       {uint64_t{1}, uint64_t{2}, uint64_t{3}, uint64_t{10}, uint64_t{12},
+        uint64_t{1} << 63, uint64_t{999999937}, UINT64_MAX}) {
+    SCOPED_TRACE(a);
+    for (const uint64_t b : {uint64_t{0}, a - 1, rng() % a}) {
+      SubpopPredicate pred;
+      pred.kind = SubpopPredicate::Kind::kMod;
+      pred.a = a;
+      pred.b = b;
+      std::vector<uint64_t> keys = {0, b, a - 1, UINT64_MAX, UINT64_MAX - 1};
+      for (int i = 0; i < 20000; ++i) keys.push_back(rng());
+      // Keys near multiples of a, where an off-by-one would show.
+      for (int i = 0; i < 2000; ++i) {
+        const uint64_t base = (rng() / a) * a;
+        keys.push_back(base + b);
+        keys.push_back(base + b + 1);
+        keys.push_back(base + b - 1);
+      }
+      for (const uint64_t key : keys) {
+        ASSERT_EQ(pred.Matches(key), key % a == b) << "key " << key;
+      }
+    }
+  }
+}
+
 TEST(QuantileSubpopShardingTest, SketchBytesIdenticalAtAnyShardCount) {
   ZipfSampler sampler(kZipfDomain, 1.0);
   Xoshiro256 rng(123);

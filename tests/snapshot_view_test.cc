@@ -1,7 +1,8 @@
 // The query-form view of a published snapshot (SnapshotQueryView,
 // src/stream/shard_engine.h): racing first readers all see the values one
-// reader derives, and copies and moves keep the view consistent with the
-// members it was derived from. Runs under the `tsan` ctest label.
+// reader derives, the answers' formatted members among them, and copies
+// and moves keep the view consistent with the members it was derived from.
+// Runs under the `tsan` ctest label.
 #include <barrier>
 #include <cstdint>
 #include <string>
@@ -51,26 +52,30 @@ ServiceSnapshot SealedSnapshot() {
   return engine.Snapshot();
 }
 
-// Every body of the four endpoints that read the view, in the order
-// `first` rotates to, so racing threads hit different latches first.
+// Every body of the five endpoints that read the view, in the order
+// `first` rotates to, so racing threads hit different latches first. Every
+// answer reads the snapshot's formatted members; the distinct answer reads
+// nothing else, so a thread starting there races for that latch alone.
 std::vector<std::string> Answers(const ServiceSnapshot& snap, size_t first) {
-  std::vector<std::string> out(4);
-  for (size_t i = 0; i < 4; ++i) {
-    const size_t which = (first + i) % 4;
+  std::vector<std::string> out(5);
+  for (size_t i = 0; i < 5; ++i) {
+    const size_t which = (first + i) % 5;
     switch (which) {
       case 0:
-        out[which] = SelfJoinResponseJson(snap, std::nullopt, 0.95).Dump();
+        out[which] = SelfJoinAnswer(snap, std::nullopt, 0.95);
         break;
       case 1:
-        out[which] = PointResponseJson(snap, 7, std::nullopt, 0.95).Dump();
+        out[which] = PointAnswer(snap, 7, std::nullopt, 0.95);
         break;
       case 2:
-        out[which] = QuantileResponseJson(snap, 0.9, 0.95).Dump();
+        out[which] = QuantileAnswer(snap, 0.9, 0.95);
+        break;
+      case 3:
+        out[which] = DistinctAnswer(snap, 0.95);
         break;
       default:
-        out[which] = SubpopResponseJson(snap, ParseSubpopFilter("mod:10-3"),
-                                        0.95)
-                         .Dump();
+        out[which] =
+            SubpopAnswer(snap, ParseSubpopFilter("mod:10-3"), 0.95);
     }
   }
   return out;
@@ -79,13 +84,13 @@ std::vector<std::string> Answers(const ServiceSnapshot& snap, size_t first) {
 bool AllDerived(const ServiceSnapshot& snap) {
   const SnapshotQueryView::Latches& latches = snap.view.latches();
   return latches.self_join.Ready() && latches.quantile.Ready() &&
-         latches.subpop.Ready();
+         latches.subpop.Ready() && latches.answer_members.Ready();
 }
 
 bool NoneDerived(const ServiceSnapshot& snap) {
   const SnapshotQueryView::Latches& latches = snap.view.latches();
   return !latches.self_join.Ready() && !latches.quantile.Ready() &&
-         !latches.subpop.Ready();
+         !latches.subpop.Ready() && !latches.answer_members.Ready();
 }
 
 TEST(SnapshotViewTest, ViewMatchesTheSketchEstimators) {
@@ -104,6 +109,30 @@ TEST(SnapshotViewTest, ViewMatchesTheSketchEstimators) {
   EXPECT_EQ(from_entries.estimate, from_sketch.estimate);
   EXPECT_EQ(from_entries.variance, from_sketch.variance);
   EXPECT_EQ(from_entries.matched, from_sketch.matched);
+}
+
+// The formatted members are the snapshot's own fields as a JsonValue tree
+// dumps them, and every answer carries them.
+TEST(SnapshotViewTest, FormattedMembersMatchTheSnapshotFields) {
+  const ServiceSnapshot snap = SealedSnapshot();
+  const std::string body = DistinctAnswer(snap, 0.95);
+  ASSERT_TRUE(snap.view.latches().answer_members.Ready());
+  JsonValue members = JsonValue::Object();
+  members.Set("endpoint", JsonValue::String("distinct"));
+  members.Set("position",
+              JsonValue::Number(static_cast<double>(snap.position)));
+  members.Set("kept", JsonValue::Number(static_cast<double>(snap.kept)));
+  members.Set("sequence",
+              JsonValue::Number(static_cast<double>(snap.sequence)));
+  members.Set("p", JsonValue::Number(snap.p));
+  members.Set("realized_p", JsonValue::Number(snap.realized_p()));
+  std::string prefix = members.Dump();
+  prefix.back() = ',';  // the members continue with "staleness"
+  EXPECT_EQ(body.substr(0, prefix.size()), prefix);
+  const std::string shared = prefix.substr(prefix.find("\"position\""));
+  for (const std::string& answer : Answers(snap, 0)) {
+    EXPECT_NE(answer.find(shared), std::string::npos) << answer;
+  }
 }
 
 TEST(SnapshotViewTest, RacingFirstReadersAnswerLikeOneReader) {

@@ -16,7 +16,7 @@
 //               injection, checkpoint/resume, honest error bars
 //   serve     — long-running HTTP query service over a live shard engine
 //               (tools/serve.h; endpoints in docs/SERVICE.md)
-//   offline   — the same engine + response builders without a server;
+//   offline   — the same engine + answer writers without a server;
 //               prints the exact JSON the service would return
 //
 // Run `sketchsample <subcommand> --help` for per-command flags.

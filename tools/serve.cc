@@ -364,7 +364,7 @@ int CmdServe(int argc, char** argv) {
 // ---------------------------------------------------------------------------
 // offline — the ground truth the service-smoke job diffs HTTP bodies
 // against. Runs the identical SketchService (push source, shard engine,
-// snapshot publication, response builders) without a server, then prints
+// snapshot publication, answer writers) without a server, then prints
 // each endpoint's exact JSON body:
 //
 //   selfjoin {...}
@@ -422,32 +422,27 @@ int CmdOffline(int argc, char** argv) {
   QueryFreshness fresh;
   fresh.pushed = service.pushed();
   fresh.freshness_lag = setup.options.freshness_lag;
-  std::printf("selfjoin %s\n",
-              SelfJoinResponseJson(*guard, setup.options.moments_f, level,
-                                   fresh)
-                  .Dump()
+  std::printf("selfjoin %s",
+              SelfJoinAnswer(*guard, setup.options.moments_f, level, fresh)
                   .c_str());
   if (!setup.options.join_sketch.empty()) {
     const FagmsSketch reference =
         DeserializeFagms(setup.options.join_sketch);
     const ResolvedMoments g =
         ResolveJoinMoments(reference, setup.options.moments_g);
-    std::printf("join %s\n",
-                JoinResponseJson(*guard, reference, setup.options.moments_f,
-                                 g, level, fresh)
-                    .Dump()
+    std::printf("join %s",
+                JoinAnswer(*guard, reference, setup.options.moments_f, g,
+                           level, fresh)
                     .c_str());
   }
   for (const int64_t key : flags.GetIntList("keys")) {
-    std::printf("point:%llu %s\n", static_cast<unsigned long long>(key),
-                PointResponseJson(*guard, static_cast<uint64_t>(key),
-                                  setup.options.moments_f, level, fresh)
-                    .Dump()
+    std::printf("point:%llu %s", static_cast<unsigned long long>(key),
+                PointAnswer(*guard, static_cast<uint64_t>(key),
+                            setup.options.moments_f, level, fresh)
                     .c_str());
   }
   if (guard->distinct.has_value()) {
-    std::printf("distinct %s\n",
-                DistinctResponseJson(*guard, level, fresh).Dump().c_str());
+    std::printf("distinct %s", DistinctAnswer(*guard, level, fresh).c_str());
   }
   const std::string quantiles = flags.GetString("quantiles");
   if (!quantiles.empty()) {
@@ -470,8 +465,8 @@ int CmdOffline(int argc, char** argv) {
                      token.c_str());
         return 1;
       }
-      std::printf("quantile:%s %s\n", token.c_str(),
-                  QuantileResponseJson(*guard, q, level, fresh).Dump().c_str());
+      std::printf("quantile:%s %s", token.c_str(),
+                  QuantileAnswer(*guard, q, level, fresh).c_str());
       if (comma == std::string::npos) break;
       start = comma + 1;
     }
@@ -495,9 +490,8 @@ int CmdOffline(int argc, char** argv) {
                      token.c_str(), error.what());
         return 1;
       }
-      std::printf(
-          "subpop:%s %s\n", pred.ToString().c_str(),
-          SubpopResponseJson(*guard, pred, level, fresh).Dump().c_str());
+      std::printf("subpop:%s %s", pred.ToString().c_str(),
+                  SubpopAnswer(*guard, pred, level, fresh).c_str());
       if (semi == std::string::npos) break;
       start = semi + 1;
     }

@@ -4,7 +4,7 @@
 //             engine (src/service/service.h). Prints "listening on
 //             HOST:PORT" once ready; runs until SIGINT/SIGTERM or
 //             --run-seconds.
-//   offline — runs the *same* engine + response builders over the same
+//   offline — runs the *same* engine + answer writers over the same
 //             stream without a server and prints each endpoint's exact
 //             JSON body, one per line. The service-smoke CI job diffs
 //             these against live HTTP responses byte for byte.
