@@ -197,6 +197,79 @@ TEST(JsonTest, UnicodeEscapesDecodeToUtf8) {
   EXPECT_EQ(parsed->AsString(), "\xc3\xa9\xe4\xb8\xad");
 }
 
+// The escaper appends runs of plain bytes whole; its bytes must be those
+// of escaping byte by byte, for every byte value in every position.
+TEST(JsonTest, StringsMatchByteByByteEscaping) {
+  const auto reference = [](const std::string& s) {
+    std::string out = "\"";
+    for (char c : s) {
+      switch (c) {
+        case '"': out += "\\\""; break;
+        case '\\': out += "\\\\"; break;
+        case '\b': out += "\\b"; break;
+        case '\f': out += "\\f"; break;
+        case '\n': out += "\\n"; break;
+        case '\r': out += "\\r"; break;
+        case '\t': out += "\\t"; break;
+        default:
+          if (static_cast<unsigned char>(c) < 0x20) {
+            char buf[8];
+            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+            out += buf;
+          } else {
+            out.push_back(c);
+          }
+      }
+    }
+    return out + "\"";
+  };
+  std::vector<std::string> strings = {"", "plain", "\"", "a\\", "\n\n"};
+  for (int b = 0; b < 256; ++b) {
+    strings.push_back(std::string(1, static_cast<char>(b)));
+    strings.push_back("ab" + std::string(1, static_cast<char>(b)) + "cd");
+  }
+  Xoshiro256 rng(20261021);
+  for (int i = 0; i < 2000; ++i) {
+    std::string s(rng() % 24, ' ');
+    for (char& c : s) {
+      c = static_cast<char>(rng() % 6 == 0 ? rng() % 0x22 : rng());
+    }
+    strings.push_back(s);
+  }
+  for (const std::string& s : strings) {
+    EXPECT_EQ(JsonValue::String(s).Dump(), reference(s));
+  }
+}
+
+// JsonWriter prints what Dump prints for the same members, nested objects,
+// pre-written members and non-finite numbers included.
+TEST(JsonTest, WriterMatchesDumpOfTheSameTree) {
+  JsonValue inner = JsonValue::Object();
+  inner.Set("low", JsonValue::Number(-0.0));
+  inner.Set("high", JsonValue::Number(std::numeric_limits<double>::infinity()));
+  JsonValue tree = JsonValue::Object();
+  tree.Set("name", JsonValue::String("q\"uote\n"));
+  tree.Set("n", JsonValue::Number(9007199254740993.0));
+  tree.Set("ok", JsonValue::Bool(false));
+  tree.Set("ci", inner);
+  tree.Set("x", JsonValue::Number(0.95));
+  tree.Set("empty", JsonValue::Object());
+  tree.Set("nan", JsonValue::Number(std::numeric_limits<double>::quiet_NaN()));
+
+  std::string members;
+  JsonWriter m(members);
+  m.Key("x").Number(0.95).Key("empty").BeginObject().EndObject();
+  std::string out;
+  JsonWriter w(out);
+  w.BeginObject().Key("name").String("q\"uote\n");
+  w.Key("n").Number(9007199254740993.0).Key("ok").Bool(false);
+  w.Key("ci").BeginObject().Key("low").Number(-0.0);
+  w.Key("high").Number(std::numeric_limits<double>::infinity()).EndObject();
+  w.Members(members).Members("");
+  w.Key("nan").Number(std::numeric_limits<double>::quiet_NaN()).EndObject();
+  EXPECT_EQ(out, tree.Dump());
+}
+
 TEST(JsonTest, PrettyPrintIsStable) {
   JsonValue obj = JsonValue::Object();
   JsonValue arr = JsonValue::Array();
